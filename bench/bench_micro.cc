@@ -174,8 +174,10 @@ void BM_GenerateCandidates(benchmark::State& state) {
     benchmark::DoNotOptimize(
         GenerateCandidates(ctx, tuples, nullptr, threads));
   }
-  MatchEngine::Stats stats;
-  (void)ParallelAllParaMatch(ctx, tuples, threads, nullptr, &stats);
+  const MatchEngine::Stats stats =
+      BspAllMatch(ctx, {.num_workers = static_cast<uint32_t>(threads)})
+          .Run(tuples)
+          .stats;
   state.counters["hv_batch_calls"] = static_cast<double>(stats.hv_batch_calls);
   state.counters["hv_cache_hits"] = static_cast<double>(stats.hv_cache_hits);
   state.counters["hrho_batch_calls"] =

@@ -559,10 +559,13 @@ class ShardedFlatMemo {
 
   static size_t ShardOf(uint64_t key) { return Mix64(key) % kShards; }
 
-  /// Probes one key; a verified hit copies the value and counts.
+  /// Probes one key; a verified hit copies the value and counts. The key
+  /// counts toward ProbeLen, so Hits() <= ProbeLen() over any mix of
+  /// scalar and batched probes.
   bool Find(uint64_t key, V* out) const {
-    const Shard& shard = shards_[ShardOf(key)];
+    Shard& shard = shards_[ShardOf(key)];
     std::lock_guard<std::mutex> lock(shard.mu);
+    ++shard.probes;
     const V* v = shard.table.Find(key);
     if (v == nullptr) return false;
     *out = *v;
@@ -578,7 +581,6 @@ class ShardedFlatMemo {
     const size_t n = keys.size();
     if (n == 0) return;
     probe_batches_.fetch_add(1, std::memory_order_relaxed);
-    probe_len_.fetch_add(n, std::memory_order_relaxed);
     // Scratch reused across calls: per-shard gather of keys + origin
     // indices, so the hot loop allocates nothing once warm.
     thread_local std::vector<uint8_t> shard_of;
@@ -605,6 +607,7 @@ class ShardedFlatMemo {
       sfound.resize(skeys.size());
       {
         std::lock_guard<std::mutex> lock(shards_[s].mu);
+        shards_[s].probes += skeys.size();
         hits += shards_[s].table.FindBatch(skeys, svals.data(),
                                            sfound.data());
       }
@@ -652,17 +655,26 @@ class ShardedFlatMemo {
   size_t Evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
+  /// FindBatch calls.
   size_t ProbeBatches() const {
     return probe_batches_.load(std::memory_order_relaxed);
   }
+  /// Keys probed by Find and FindBatch together (the hit-rate
+  /// denominator).
   size_t ProbeLen() const {
-    return probe_len_.load(std::memory_order_relaxed);
+    size_t n = 0;
+    for (const Shard& s : shards_) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      n += s.probes;
+    }
+    return n;
   }
 
  private:
   struct Shard {
     mutable std::mutex mu;
     FlatTable<V> table;
+    size_t probes = 0;  // keys probed here, counted under `mu`
   };
 
   size_t shard_cap_;
@@ -670,7 +682,6 @@ class ShardedFlatMemo {
   mutable std::atomic<size_t> hits_{0};
   mutable std::atomic<size_t> evictions_{0};
   mutable std::atomic<size_t> probe_batches_{0};
-  mutable std::atomic<size_t> probe_len_{0};
 };
 
 }  // namespace her

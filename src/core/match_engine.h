@@ -205,7 +205,7 @@ class MatchEngine {
     // assigns, never sums, them); engine_cache_load_factor is per-engine
     // and max-merges across workers (occupancies do not add). ---
     size_t memo_probe_batches = 0;  // batched probes into the hv+mrho memos
-    size_t memo_probe_len = 0;      // total keys across those probes
+    size_t memo_probe_len = 0;      // keys probed, scalar probes included
     double hv_memo_load_factor = 0.0;    // h_v memo shard occupancy [0,1]
     double hrho_memo_load_factor = 0.0;  // M_rho memo shard occupancy [0,1]
     double engine_cache_load_factor = 0.0;  // this engine's verdict table
@@ -214,7 +214,8 @@ class MatchEngine {
     // that a warm start skipped the build (bench_micro reports both).
     double snapshot_load_seconds = 0.0;
     // Wall time spent in GenerateCandidates by drivers running on this
-    // engine (AllParaMatch / ParallelAllParaMatch record it here).
+    // engine (AllParaMatch records it here; BspAllMatch::Run/RunVPair
+    // report their scan in ParallelResult::stats).
     double candidate_gen_seconds = 0.0;
     size_t candidate_gen_runs = 0;
     // --- fault-tolerance telemetry ---

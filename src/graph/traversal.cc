@@ -41,41 +41,59 @@ double PraScore(const std::vector<size_t>& out_degrees) {
 
 std::vector<PraPath> MaxPraPaths(const Graph& g, VertexId root,
                                  size_t max_len) {
-  // best[v] = (pra, hop, predecessor, edge label) of the best path found so
-  // far ending at v. Layered relaxation: paths of length 1..max_len.
-  struct Entry {
-    double pra = 0.0;
-    VertexId pred = kInvalidVertex;
+  // Layered relaxation: paths of length 1..max_len. Every improvement is a
+  // step (vertex, predecessor step, edge label, pra); best[v] = (pra, hop,
+  // step) of the best path found so far ending at v. A path rebuilds
+  // through its own chain of steps, never through a predecessor's later
+  // best: a longer path may win v after v's children were relaxed from
+  // its older path, and those children's pra was computed from the older
+  // one.
+  struct Step {
+    VertexId v = kInvalidVertex;
     LabelId label = kInvalidLabel;
+    double pra = 0.0;
+    size_t pred = 0;  // index of the predecessor's step
   };
-  std::unordered_map<VertexId, Entry> best;
+  struct Best {
+    double pra = 0.0;
+    size_t hop = 0;
+    size_t step = 0;
+  };
+  std::unordered_map<VertexId, Best> best;
+  std::vector<Step> steps = {Step{root, kInvalidLabel, 1.0, 0}};
 
-  // Frontier of (vertex, pra of best path of current length).
-  std::vector<std::pair<VertexId, double>> frontier = {
-      {root, 1.0}};
-  // Hoisted out of the relaxation loop: clear() keeps the bucket array, so
-  // after the first round the map rehashes (and allocates) nothing.
-  std::unordered_map<VertexId, double> next_pra;
-  next_pra.reserve(g.OutDegree(root));
+  // Frontier: the steps of the current length, in vertex order.
+  std::vector<size_t> frontier = {0};
+  // This layer's step per vertex. Hoisted out of the relaxation loop:
+  // clear() keeps the bucket array, so after the first round the map
+  // rehashes (and allocates) nothing.
+  std::unordered_map<VertexId, size_t> layer_step;
+  layer_step.reserve(g.OutDegree(root));
 
   for (size_t len = 1; len <= max_len && !frontier.empty(); ++len) {
-    next_pra.clear();
-    for (const auto& [v, pra] : frontier) {
+    layer_step.clear();
+    for (const size_t from : frontier) {
+      const VertexId v = steps[from].v;
       const size_t deg = g.OutDegree(v);
       if (deg == 0) continue;
-      const double child_pra = pra / static_cast<double>(deg);
+      const double child_pra = steps[from].pra / static_cast<double>(deg);
       for (const Edge& e : g.OutEdges(v)) {
         if (e.dst == root) continue;  // a cycle back to the root is useless
         auto it = best.find(e.dst);
-        if (it == best.end() || child_pra > it->second.pra) {
-          best[e.dst] = Entry{child_pra, v, e.label};
-          next_pra[e.dst] = std::max(next_pra[e.dst], child_pra);
-        }
+        if (it != best.end() && child_pra <= it->second.pra) continue;
+        // A later improvement in the same layer replaces the earlier step.
+        auto [slot, fresh] = layer_step.try_emplace(e.dst, steps.size());
+        if (fresh) steps.emplace_back();
+        steps[slot->second] = Step{e.dst, e.label, child_pra, from};
+        best[e.dst] = Best{child_pra, len, slot->second};
       }
     }
-    frontier.assign(next_pra.begin(), next_pra.end());
+    frontier.clear();
+    for (const auto& [v, step] : layer_step) frontier.push_back(step);
     // Deterministic relaxation order across runs.
-    std::sort(frontier.begin(), frontier.end());
+    std::sort(frontier.begin(), frontier.end(), [&](size_t a, size_t b) {
+      return steps[a].v < steps[b].v;
+    });
   }
 
   std::vector<PraPath> out;
@@ -84,15 +102,13 @@ std::vector<PraPath> MaxPraPaths(const Graph& g, VertexId root,
     PraPath p;
     p.pra = entry.pra;
     p.path.endpoint = v;
-    // Reconstruct labels by walking predecessors.
-    VertexId cur = v;
-    while (cur != root) {
-      const Entry& e = best.at(cur);
-      p.path.labels.push_back(e.label);
-      cur = e.pred;
-      HER_CHECK(p.path.labels.size() <= max_len);
+    p.path.labels.resize(entry.hop);
+    size_t step = entry.step;
+    for (size_t hop = entry.hop; hop > 0; --hop) {
+      p.path.labels[hop - 1] = steps[step].label;
+      step = steps[step].pred;
     }
-    std::reverse(p.path.labels.begin(), p.path.labels.end());
+    HER_DCHECK(step == 0);
     out.push_back(std::move(p));
   }
   std::sort(out.begin(), out.end(), [](const PraPath& a, const PraPath& b) {

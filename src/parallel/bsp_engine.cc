@@ -1,13 +1,9 @@
 #include "parallel/bsp_engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <iostream>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -30,11 +26,13 @@ namespace {
 /// A Worker is one logical FRAGMENT of the computation, not a host: crash
 /// recovery never merges fragments (the greedy lineage matching is not
 /// confluent, so merging would change which fixpoint the run lands on).
-/// Instead a crashed host's fragment is rebuilt from its checkpoint — a
-/// plain copy of this struct, which is why it is copyable — and carried on
-/// by a surviving host with its state, locality and routing unchanged.
+/// Instead a crashed host's fragment is rebuilt from its checkpoint — the
+/// SaveWorker bytes a durable shard holds — and carried on by a surviving
+/// host with its state, locality and routing unchanged.
 struct Worker {
   explicit Worker(const MatchContext& ctx) : engine(ctx) {}
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
 
   MatchEngine engine;
   std::vector<MatchPair> owned_candidates;  // root candidates to verify
@@ -61,11 +59,6 @@ struct Worker {
   std::unordered_set<MatchPair, PairHash> assumed;
 };
 
-/// Bounded park of an idle async worker waiting for messages/quiescence;
-/// each expiry re-checks the deadline, so expiry detection latency is at
-/// most one wait (plus the message in flight).
-constexpr auto kIdleWait = std::chrono::milliseconds(1);
-
 /// Registers `origin` as a subscriber of `p` at worker `w`, once
 /// (duplicated/re-sent requests must not grow the list unboundedly).
 void Subscribe(Worker& w, const MatchPair& p, uint32_t origin) {
@@ -81,6 +74,11 @@ void Subscribe(Worker& w, const MatchPair& p, uint32_t origin) {
 /// summed like the per-engine counters.
 void AssignSharedSnapshots(const MatchEngine::Stats& s,
                            MatchEngine::Stats* agg) {
+  agg->hv_batch_calls = s.hv_batch_calls;
+  agg->hv_cache_hits = s.hv_cache_hits;
+  agg->hv_cache_evictions = s.hv_cache_evictions;
+  agg->hrho_batch_calls = s.hrho_batch_calls;
+  agg->hrho_hash_rejects = s.hrho_hash_rejects;
   agg->hr_batch_calls = s.hr_batch_calls;
   agg->hr_lstm_batch_calls = s.hr_lstm_batch_calls;
   agg->hr_lstm_lanes = s.hr_lstm_lanes;
@@ -605,33 +603,47 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   for (uint32_t i = 0; i < n; ++i) host_of[i] = i;
 
   const size_t memo_cap = ListsMemoCapForBudget(config_.worker_mem_budget_bytes);
-  // Fresh fragment worker: locality filter, run options and the budgeted
-  // memo cap applied; the caller distributes its owned candidates.
-  const auto make_worker = [&](uint32_t frag) {
-    auto w = std::make_unique<Worker>(ctx_);
-    w->engine.SetLocalityFilter(
-        [&owner_of, frag](VertexId u, VertexId v) {
-          return owner_of(MatchPair{u, v}) == frag;
-        });
-    w->engine.SetRunOptions(options);
-    if (memo_cap != 0) w->engine.SetListsMemoCap(memo_cap);
-    return w;
+  std::vector<std::unique_ptr<Worker>> workers(n);
+  // Rebuilds every fragment flagged in `cold` from the job input: a fresh
+  // engine (locality filter, run options, budgeted memo cap) owning its
+  // share of the candidates. The initial build, a failed checkpoint
+  // restore (whole run or single shard) and a crash before the first
+  // checkpoint all start fragments this way.
+  const auto cold_start = [&](const std::vector<uint8_t>& cold) {
+    for (uint32_t f = 0; f < n; ++f) {
+      if (cold[f] == 0) continue;
+      workers[f] = std::make_unique<Worker>(ctx_);
+      workers[f]->engine.SetLocalityFilter(
+          [&owner_of, f](VertexId u, VertexId v) {
+            return owner_of(MatchPair{u, v}) == f;
+          });
+      workers[f]->engine.SetRunOptions(options);
+      if (memo_cap != 0) workers[f]->engine.SetListsMemoCap(memo_cap);
+    }
+    for (const MatchPair& c : candidates) {
+      const uint32_t f = owner_of(c);
+      if (cold[f] != 0) workers[f]->owned_candidates.push_back(c);
+    }
   };
-  std::vector<std::unique_ptr<Worker>> workers;
-  workers.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) workers.push_back(make_worker(i));
+  const std::vector<uint8_t> all_fragments(n, 1);
+  cold_start(all_fragments);
   const std::vector<MatchPair> roots = SortedUnique(candidates);
-  for (const MatchPair& c : candidates) {
-    workers[owner_of(c)]->owned_candidates.push_back(c);
-  }
 
   std::vector<bool> alive(n, true);  // hosts, not fragments
-  // Superstep-boundary checkpoints: full fragment copies (verdicts,
-  // dependency index, eval budgets, messaging control state), so a
+  // Superstep-boundary crash checkpoints (only under a fault plan): each
+  // fragment's SaveWorker bytes — the durable shard format — so a
   // restored fragment continues on the exact fault-free trajectory.
-  // In-flight messages are deliberately not checkpointed — the audit
-  // sweep re-derives them from the requester-side `assumed` sets.
-  std::vector<std::unique_ptr<Worker>> checkpoints(n);
+  // In-flight messages are deliberately not recovered: restore clears the
+  // inboxes and the audit sweep re-derives them from the requester-side
+  // `assumed` sets.
+  std::vector<std::string> checkpoints(n);
+  const auto checkpoint_all = [&] {
+    for (uint32_t f = 0; f < n; ++f) {
+      ByteWriter w;
+      SaveWorker(*workers[f], &w);
+      checkpoints[f] = w.data();
+    }
+  };
 
   // --- durable checkpoint/resume (crash-restart recovery) ---
   const CheckpointOptions& ckpt = config_.checkpoint;
@@ -679,29 +691,20 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
           dirty[f] = 0;
           continue;
         }
-        // Partial rebuild: only this fragment cold-starts. The failed
-        // restore may have partially overwritten its state, so the worker
-        // is rebuilt from the job input.
         std::cerr << "her: checkpoint shard " << f << " invalid ("
                   << ss.ToString() << "); cold-starting fragment " << f
                   << std::endl;
-        workers[f] = make_worker(f);
-        for (const MatchPair& c : candidates) {
-          if (owner_of(c) == f) workers[f]->owned_candidates.push_back(c);
-        }
         bootstrap[f] = 1;
         any_bootstrap = true;
       }
-      if (injector != nullptr) {
-        // Mirror the in-memory crash checkpoint the interrupted run held
-        // at this boundary, so a crash plan firing right after resume
-        // recovers onto the same trajectory.
-        for (uint32_t f = 0; f < n; ++f) {
-          checkpoints[f] = std::make_unique<Worker>(*workers[f]);
-          checkpoints[f]->request_inbox.clear();
-          checkpoints[f]->invalid_inbox.clear();
-        }
-      }
+      // Partial rebuild: only the failed fragments cold-start. A failed
+      // restore may have partially overwritten their state, so they are
+      // rebuilt from the job input.
+      if (any_bootstrap) cold_start(bootstrap);
+      // Mirror the crash checkpoint the interrupted run held at this
+      // boundary, so a crash plan firing right after resume recovers onto
+      // the same trajectory.
+      if (injector != nullptr) checkpoint_all();
     } else {
       // Graceful degradation: a missing/corrupt/stale meta costs the warm
       // start, never correctness. A failed restore may have partially
@@ -709,10 +712,7 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       // job input before the cold start.
       std::cerr << "her: checkpoint resume failed ("
                 << st.ToString() << "); starting cold" << std::endl;
-      for (uint32_t i = 0; i < n; ++i) workers[i] = make_worker(i);
-      for (const MatchPair& c : candidates) {
-        workers[owner_of(c)]->owned_candidates.push_back(c);
-      }
+      cold_start(all_fragments);
       std::fill(shard_epochs.begin(), shard_epochs.end(), 0);
     }
   }
@@ -850,20 +850,23 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
           for (uint32_t f = 0; f < n; ++f) {
             if (host_of[f] == victim) host_of[f] = sv;
           }
+          // The dead host's counters still account for work it did.
+          SumWorkerStats(workers[victim]->engine.stats(), &result.stats);
           // GRAPE-style data-parallel recovery: rebuild the lost fragment
-          // from its last superstep-boundary checkpoint — a full fragment
-          // copy, so the survivor re-executes exactly the computation the
-          // dead host would have run. A round-0 crash predates the first
-          // checkpoint; the fragment restarts from its job input (the
-          // candidate assignment), which is equally exact.
-          if (checkpoints[victim] != nullptr) {
-            workers[victim] = std::make_unique<Worker>(*checkpoints[victim]);
-          } else {
-            auto fresh = make_worker(victim);
-            for (const MatchPair& c : candidates) {
-              if (owner_of(c) == victim) fresh->owned_candidates.push_back(c);
-            }
-            workers[victim] = std::move(fresh);
+          // from its last superstep-boundary checkpoint, so the survivor
+          // re-executes exactly the computation the dead host would have
+          // run. A round-0 crash predates the first checkpoint; the
+          // fragment restarts from its job input (the candidate
+          // assignment), which is equally exact.
+          std::vector<uint8_t> lost(n, 0);
+          lost[victim] = 1;
+          cold_start(lost);
+          if (!checkpoints[victim].empty()) {
+            ByteReader r(checkpoints[victim]);
+            const Status st = LoadWorker(&r, workers[victim].get());
+            HER_CHECK(st.ok());  // self-encoded bytes always decode
+            workers[victim]->request_inbox.clear();
+            workers[victim]->invalid_inbox.clear();
           }
           dirty[victim] = 1;  // in-memory state diverged from its shard
           // The in-flight messages that died in the victim's inboxes are
@@ -1059,17 +1062,11 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       }
     }
 
-    // Superstep-boundary checkpoints (only under a fault plan: production
-    // runs without an injector pay nothing): a full copy of each
-    // fragment, minus its inboxes — in-flight messages are volatile and
-    // die with a host; the audit sweep re-derives them on recovery.
+    // Superstep-boundary crash checkpoints (only under a fault plan:
+    // production runs without an injector pay nothing).
     if (injector != nullptr) {
-      for (uint32_t f = 0; f < n; ++f) {
-        checkpoints[f] = std::make_unique<Worker>(*workers[f]);
-        checkpoints[f]->request_inbox.clear();
-        checkpoints[f]->invalid_inbox.clear();
-        ++result.stats.checkpoints;
-      }
+      checkpoint_all();
+      result.stats.checkpoints += n;
     }
     result.simulated_seconds += ThreadCpuSeconds() - sync_start;
 
@@ -1150,340 +1147,25 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   return result;
 }
 
-ParallelResult BspAllMatch::RunAsyncOnCandidates(
-    std::vector<MatchPair> candidates, const RunOptions& options) {
-  ParallelResult result;
-  result.status = Validate(candidates);
-  if (!result.status.ok()) return result;
-
-  FaultInjector* injector = nullptr;
-  if constexpr (kFaultInjectionEnabled) injector = config_.faults;
-  if (injector != nullptr && injector->plan().crash.has_value()) {
-    result.status = Status::FailedPrecondition(
-        "crash fault plans need superstep checkpoints to recover from; "
-        "the asynchronous model has no superstep boundary — use the BSP "
-        "Run*/RunOnCandidates methods");
-    return result;
-  }
-  if (!config_.checkpoint.dir.empty()) {
-    result.status = Status::FailedPrecondition(
-        "durable checkpoints need a superstep boundary to capture; the "
-        "asynchronous model has none — use the BSP Run*/RunOnCandidates "
-        "methods");
-    return result;
-  }
-
-  const uint32_t n = config_.num_workers;
-  result.supersteps = 1;  // no rounds in the asynchronous model
-  if (candidates.empty()) return result;  // nothing to do: no threads spun
-
-  const VertexPartition part =
-      PartitionVertices(*ctx_.g, n, config_.strategy);
-  const auto owner_of = [this, &part](const MatchPair& p) -> uint32_t {
-    return config_.pair_owner ? config_.pair_owner(p)
-                              : part.owner[p.second];
-  };
-
-  // Async channels: one locked inbox per worker, with a condition variable
-  // so idle workers park instead of spinning (bounded waits re-check the
-  // deadline and absorb lost wakeups).
-  struct Message {
-    MatchPair pair;
-    uint32_t origin;  // requester for requests; sender for invalidations
-    bool is_request;
-  };
-  struct Channel {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Message> inbox;
-  };
-  std::vector<Channel> channels(n);
-  // Work accounting for termination: one unit per initial batch plus one
-  // per in-flight message; producers increment before finishing their own
-  // unit, so the counter cannot falsely reach zero.
-  std::atomic<size_t> outstanding{n};
-  std::atomic<bool> done{false};
-  std::atomic<bool> expired{false};
-  std::atomic<size_t> total_messages{0};
-  std::atomic<size_t> backoff_sleeps{0};
-  std::atomic<size_t> async_retries{0};
-
-  const size_t memo_cap =
-      ListsMemoCapForBudget(config_.worker_mem_budget_bytes);
-  std::vector<std::unique_ptr<Worker>> workers;
-  workers.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    workers.push_back(std::make_unique<Worker>(ctx_));
-    const uint32_t frag = i;
-    workers.back()->engine.SetLocalityFilter(
-        [owner_of, frag](VertexId u, VertexId v) {
-          return owner_of(MatchPair{u, v}) == frag;
-        });
-    workers.back()->engine.SetRunOptions(options);
-    if (memo_cap != 0) workers.back()->engine.SetListsMemoCap(memo_cap);
-  }
-  const std::vector<MatchPair> roots = SortedUnique(candidates);
-  for (const MatchPair& c : candidates) {
-    workers[owner_of(c)]->owned_candidates.push_back(c);
-  }
-
-  auto wake_all = [&] {
-    for (uint32_t j = 0; j < n; ++j) {
-      // Lock/unlock pairs the notify with the waiters' predicate check.
-      { std::lock_guard<std::mutex> lock(channels[j].mu); }
-      channels[j].cv.notify_all();
-    }
-  };
-  auto finish_unit = [&] {
-    if (outstanding.fetch_sub(1) == 1) {
-      done.store(true, std::memory_order_release);
-      wake_all();
-    }
-  };
-
-  std::vector<double> busy(n, 0.0);
-  auto worker_main = [&](uint32_t i) {
-    Worker& w = *workers[i];
-    const double start = ThreadCpuSeconds();
-    auto deliver = [&](const Message& m, uint32_t to) {
-      outstanding.fetch_add(1);
-      total_messages.fetch_add(1);
-      Channel& ch = channels[to];
-      {
-        std::lock_guard<std::mutex> lock(ch.mu);
-        ch.inbox.push_back(m);
-      }
-      ch.cv.notify_one();
-    };
-    auto send = [&](const Message& m, uint32_t to) {
-      if constexpr (kFaultInjectionEnabled) {
-        if (injector != nullptr) {
-          const FaultChannel fc = m.is_request ? FaultChannel::kRequest
-                                               : FaultChannel::kInvalidation;
-          if (injector->DropMessage(fc, m.pair, i, to)) {
-            // Transient loss: retransmit until acknowledged, then fall
-            // through to the delivery below.
-            async_retries.fetch_add(1, std::memory_order_relaxed);
-          } else if (injector->DuplicateMessage(fc, m.pair, i, to)) {
-            deliver(m, to);
-          }
-        }
-      }
-      deliver(m, to);
-    };
-    auto flush_outgoing = [&] {
-      for (const MatchPair& p : w.engine.DrainNewAssumptions()) {
-        w.assumed.insert(p);
-        send(Message{p, i, /*is_request=*/true}, owner_of(p));
-      }
-      for (const MatchPair& p : w.engine.DrainNewlyInvalidated()) {
-        auto it = w.subscribers.find(p);
-        if (it == w.subscribers.end()) continue;
-        if (!w.notified_false.insert(p).second) continue;
-        for (const uint32_t j : it->second) {
-          send(Message{p, i, /*is_request=*/false}, j);
-        }
-      }
-    };
-    auto check_deadline = [&]() -> bool {
-      if (!options.Expired()) return false;
-      expired.store(true, std::memory_order_relaxed);
-      done.store(true, std::memory_order_release);
-      wake_all();
-      return true;
-    };
-
-    // Initial unit: the owned candidates.
-    for (const MatchPair& c : w.owned_candidates) {
-      if (done.load(std::memory_order_acquire) || check_deadline()) break;
-      w.engine.Match(c.first, c.second);
-      flush_outgoing();
-    }
-    finish_unit();
-
-    // Message loop until global quiescence (or expiry).
-    while (!done.load(std::memory_order_acquire)) {
-      if (check_deadline()) break;
-      std::vector<Message> batch;
-      {
-        std::unique_lock<std::mutex> lock(channels[i].mu);
-        if (channels[i].inbox.empty() &&
-            !done.load(std::memory_order_acquire)) {
-          const bool woke = channels[i].cv.wait_for(lock, kIdleWait, [&] {
-            return !channels[i].inbox.empty() ||
-                   done.load(std::memory_order_acquire);
-          });
-          if (!woke) {
-            // Bounded park expired with no work: loop re-checks deadline.
-            backoff_sleeps.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        batch.swap(channels[i].inbox);
-      }
-      for (const Message& m : batch) {
-        if (m.is_request) {
-          Subscribe(w, m.pair, m.origin);
-          const bool valid = w.engine.Match(m.pair.first, m.pair.second);
-          if (!valid) {
-            // Reply directly; flips that happen later broadcast to all
-            // subscribers via flush_outgoing.
-            send(Message{m.pair, i, false}, m.origin);
-          }
-        } else {
-          const auto* e = w.engine.Lookup(m.pair.first, m.pair.second);
-          if (e == nullptr || e->valid) {
-            w.engine.ForceInvalid(m.pair.first, m.pair.second);
-          }
-        }
-        flush_outgoing();
-        finish_unit();
-      }
-    }
-    busy[i] = ThreadCpuSeconds() - start;
-  };
-
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) threads.emplace_back(worker_main, i);
-    for (auto& t : threads) t.join();
-  }
-
-  result.messages = total_messages.load();
-  result.backoff_sleeps = backoff_sleeps.load();
-  double makespan = 0.0;
-  for (uint32_t i = 0; i < n; ++i) makespan = std::max(makespan, busy[i]);
-  result.simulated_seconds = makespan;
-  result.degraded = expired.load();
-  for (uint32_t i = 0; i < n && !result.degraded; ++i) {
-    if (workers[i]->engine.Stopped()) result.degraded = true;
-  }
-
-  // Post-quiescence repair pump (drop/duplication faults): the threads are
-  // joined, so the engines can be driven directly over the reliable
-  // control channel until the assumption audit is clean — mirroring the
-  // BSP audit sweep, sequentially.
-  if (injector != nullptr && !result.degraded) {
-    struct Pending {
-      MatchPair pair;
-      uint32_t origin;
-      uint32_t target;
-      bool is_request;
-    };
-    std::deque<Pending> pump;
-    size_t repaired = 0;
-    auto flush_drains = [&](uint32_t wi) {
-      Worker& w = *workers[wi];
-      for (const MatchPair& p : w.engine.DrainNewAssumptions()) {
-        w.assumed.insert(p);
-        pump.push_back({p, wi, owner_of(p), true});
-      }
-      for (const MatchPair& p : w.engine.DrainNewlyInvalidated()) {
-        auto it = w.subscribers.find(p);
-        if (it == w.subscribers.end()) continue;
-        if (!w.notified_false.insert(p).second) continue;
-        for (const uint32_t j : it->second) {
-          pump.push_back({p, wi, j, false});
-        }
-      }
-    };
-    auto pump_all = [&] {
-      while (!pump.empty()) {
-        const Pending m = pump.front();
-        pump.pop_front();
-        Worker& t = *workers[m.target];
-        if (m.is_request) {
-          Subscribe(t, m.pair, m.origin);
-          if (!t.engine.Match(m.pair.first, m.pair.second)) {
-            pump.push_back({m.pair, m.target, m.origin, false});
-          }
-        } else {
-          const auto* e = t.engine.Lookup(m.pair.first, m.pair.second);
-          if (e == nullptr || e->valid) {
-            t.engine.ForceInvalid(m.pair.first, m.pair.second);
-          }
-        }
-        flush_drains(m.target);
-        ++repaired;
-      }
-    };
-    bool clean = false;
-    while (!clean) {
-      clean = true;
-      for (uint32_t i = 0; i < n; ++i) {
-        Worker& w = *workers[i];
-        std::vector<MatchPair> assumed(w.assumed.begin(), w.assumed.end());
-        std::sort(assumed.begin(), assumed.end());
-        for (const MatchPair& p : assumed) {
-          const auto* mine = w.engine.Lookup(p.first, p.second);
-          if (mine != nullptr && !mine->valid) continue;
-          const uint32_t owner = owner_of(p);
-          if (owner == i) continue;
-          Worker& ow = *workers[owner];
-          const auto* theirs = ow.engine.Lookup(p.first, p.second);
-          if (theirs == nullptr) {
-            pump.push_back({p, i, owner, true});
-            clean = false;
-          } else if (!theirs->valid) {
-            pump.push_back({p, i, i, false});
-            clean = false;
-          } else {
-            Subscribe(ow, p, i);
-          }
-        }
-        pump_all();
-      }
-    }
-    result.messages += repaired;
-  }
-
-  for (uint32_t i = 0; i < n; ++i) {
-    const MatchEngine::Stats& s = workers[i]->engine.stats();
-    SumWorkerStats(s, &result.stats);
-    result.max_worker_calls =
-        std::max(result.max_worker_calls, s.para_match_calls);
-  }
-  if constexpr (kFaultInjectionEnabled) {
-    result.stats.fault_retries += async_retries.load();
-    if (injector != nullptr) {
-      result.stats.faults_injected = injector->injected();
-    }
-    if (const auto* flaky =
-            dynamic_cast<const FlakyVertexScorer*>(ctx_.hv)) {
-      result.stats.fault_retries += flaky->Retries();
-      result.stats.faults_injected += flaky->FaultedCalls();
-    }
-  }
-
-  result.partition.edge_cut_edges = part.edge_cut_edges;
-  result.partition.edge_cut_fraction = part.EdgeCutFraction(*ctx_.g);
-  result.partition.border_vertices = part.border_vertices;
-  result.partition.max_fragment_imbalance = part.max_fragment_imbalance;
-  result.peak_rss_bytes = PeakRssBytes();
-
-  CollectResults(workers, owner_of, roots, &result);
-  return result;
-}
-
-ParallelResult BspAllMatch::RunAsync(std::span<const VertexId> tuple_vertices,
-                                     const InvertedIndex* index,
-                                     const RunOptions& options) {
-  return RunAsyncOnCandidates(
-      GenerateCandidates(ScanContext(), tuple_vertices, index), options);
-}
-
 ParallelResult BspAllMatch::Run(std::span<const VertexId> tuple_vertices,
                                 const InvertedIndex* index,
                                 const RunOptions& options) {
-  return RunOnCandidates(
-      GenerateCandidates(ScanContext(), tuple_vertices, index), options);
+  WallTimer gen_timer;
+  std::vector<MatchPair> candidates =
+      GenerateCandidates(ScanContext(), tuple_vertices, index);
+  const double gen_seconds = gen_timer.Seconds();
+  ParallelResult result = RunOnCandidates(std::move(candidates), options);
+  if (result.status.ok()) {
+    result.stats.candidate_gen_seconds += gen_seconds;
+    ++result.stats.candidate_gen_runs;
+  }
+  return result;
 }
 
 ParallelResult BspAllMatch::RunVPair(VertexId u_t, const InvertedIndex* index,
                                      const RunOptions& options) {
   const VertexId roots[] = {u_t};
-  return RunOnCandidates(GenerateCandidates(ScanContext(), roots, index),
-                         options);
+  return Run(roots, index, options);
 }
 
 MatchContext BspAllMatch::ScanContext() const {

@@ -220,6 +220,7 @@ bool CachingPathScorer::Probe(uint64_t key, std::span<const int> p1,
                               std::span<const int> p2, double* score) const {
   Shard& shard = shards_[key % kShards];
   std::lock_guard<std::mutex> lock(shard.mu);
+  ++shard.probes;
   const Entry* e = shard.table.Find(key);
   if (e == nullptr) return false;
   if (!SamePath(e->p1, p1) || !SamePath(e->p2, p2)) {
@@ -268,7 +269,6 @@ void CachingPathScorer::ScoreBatch(std::span<const EmbeddedPath> p1s,
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
   const size_t n = out.size();
   probe_batches_.fetch_add(1, std::memory_order_relaxed);
-  probe_len_.fetch_add(n, std::memory_order_relaxed);
   std::vector<uint64_t> keys(n);
   for (size_t i = 0; i < n; ++i) {
     keys[i] = HashPair(p1s[i].tokens, p2s[i].tokens);
@@ -289,6 +289,7 @@ void CachingPathScorer::ScoreBatch(std::span<const EmbeddedPath> p1s,
     if (sidx.empty()) continue;
     Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
+    shard.probes += sidx.size();
     const size_t warm = sidx.size() < kPrefetchWindow ? sidx.size()
                                                       : kPrefetchWindow;
     for (size_t j = 0; j < warm; ++j) shard.table.PrefetchKey(keys[sidx[j]]);
@@ -336,6 +337,15 @@ size_t CachingPathScorer::CacheSize() const {
   for (const Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mu);
     n += s.table.Size();
+  }
+  return n;
+}
+
+size_t CachingPathScorer::ProbeLen() const {
+  size_t n = 0;
+  for (const Shard& s : shards_) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    n += s.probes;
   }
   return n;
 }

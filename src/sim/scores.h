@@ -113,7 +113,9 @@ class CachingVertexScorer : public VertexScorer {
   size_t CacheSize() const { return memo_.Size(); }
   size_t CacheHits() const { return memo_.Hits(); }
   size_t CacheEvictions() const { return memo_.Evictions(); }
-  /// Batched-probe telemetry (feeds Stats::memo_probe_batches/_len).
+  /// Probe telemetry (feeds Stats::memo_probe_batches/_len): batched
+  /// probes, and keys probed by Score and ScoreBatch together, so
+  /// CacheHits() <= ProbeLen().
   size_t ProbeBatches() const { return memo_.ProbeBatches(); }
   size_t ProbeLen() const { return memo_.ProbeLen(); }
   /// Mean live occupancy of the memo's shard tables, in [0, 1].
@@ -265,13 +267,13 @@ class CachingPathScorer : public PathScorer {
   size_t HashRejects() const {
     return hash_rejects_.load(std::memory_order_relaxed);
   }
-  /// Batched-probe telemetry (feeds Stats::memo_probe_batches/_len).
+  /// Probe telemetry (feeds Stats::memo_probe_batches/_len): batched
+  /// probes, and keys probed by Score and ScoreBatch together, so
+  /// CacheHits() <= ProbeLen().
   size_t ProbeBatches() const {
     return probe_batches_.load(std::memory_order_relaxed);
   }
-  size_t ProbeLen() const {
-    return probe_len_.load(std::memory_order_relaxed);
-  }
+  size_t ProbeLen() const;
   /// Mean live occupancy of the memo's shard tables, in [0, 1].
   double MemoLoadFactor() const;
   const PathScorer* inner() const { return inner_; }
@@ -291,6 +293,7 @@ class CachingPathScorer : public PathScorer {
   struct Shard {
     mutable std::mutex mu;
     mutable FlatTable<Entry> table;
+    mutable size_t probes = 0;  // keys probed here, counted under `mu`
   };
 
   /// Probes one pair; returns true on a verified hit (score in *score).
@@ -306,7 +309,6 @@ class CachingPathScorer : public PathScorer {
   mutable std::atomic<size_t> evictions_{0};
   mutable std::atomic<size_t> hash_rejects_{0};
   mutable std::atomic<size_t> probe_batches_{0};
-  mutable std::atomic<size_t> probe_len_{0};
 };
 
 /// One important property of a vertex, as selected by h_r: a descendant

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -320,6 +321,10 @@ TEST(ShardedFlatMemoTest, FindBatchMatchesScalarAndCounts) {
     }
   }
   EXPECT_EQ(hits_after_batch, scalar_hits);
+  // Scalar probes count toward ProbeLen too (the hit-rate denominator).
+  EXPECT_EQ(memo.ProbeBatches(), 1u);
+  EXPECT_EQ(memo.ProbeLen(), 2 * keys.size());
+  EXPECT_LE(memo.Hits(), memo.ProbeLen());
   EXPECT_GT(memo.LoadFactor(), 0.0);
 }
 
@@ -331,10 +336,11 @@ TEST(ShardedFlatMemoTest, ConcurrentStress) {
   ShardedFlatMemo<double> memo(1 << 8);  // small cap: frequent evictions
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 20000;
+  std::atomic<size_t> scalar_finds{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&memo, t] {
+    threads.emplace_back([&memo, &scalar_finds, t] {
       uint64_t state = 1000 + static_cast<uint64_t>(t);
       std::vector<uint64_t> batch_keys(32);
       std::vector<double> batch_out(32);
@@ -353,6 +359,7 @@ TEST(ShardedFlatMemoTest, ConcurrentStress) {
           }
         } else if (r % 8 < 5) {
           double out = 0.0;
+          scalar_finds.fetch_add(1, std::memory_order_relaxed);
           if (memo.Find(key, &out)) {
             ASSERT_EQ(out, static_cast<double>(key) * 2.0);
           }
@@ -363,8 +370,9 @@ TEST(ShardedFlatMemoTest, ConcurrentStress) {
     });
   }
   for (auto& th : threads) th.join();
-  // Counters are coherent: every batch was counted with its length.
-  EXPECT_EQ(memo.ProbeLen(), memo.ProbeBatches() * 32);
+  // Counters are coherent: every batch was counted with its length, and
+  // every scalar Find as one key.
+  EXPECT_EQ(memo.ProbeLen(), memo.ProbeBatches() * 32 + scalar_finds.load());
   EXPECT_LE(memo.Size(), 16u * (1u << 8));
   // A final sweep still sees internally consistent values.
   double out = 0.0;

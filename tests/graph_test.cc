@@ -149,6 +149,68 @@ TEST(TraversalTest, MaxPraPathsRespectMaxLen) {
   EXPECT_EQ(MaxPraPaths(g, 0, 3).size(), 3u);
 }
 
+TEST(TraversalTest, MaxPraPathsLaterLongerWinKeepsChildPaths) {
+  // root -> hub (deg 4) -> v ; root -> a -> b -> v ; v -> c, v -> d.
+  // v is first reached at length 2 through the hub (pra 1/8), and its
+  // children c, d at length 3 from that path. At length 3 the quiet route
+  // a -> b wins v (pra 1/2). With max_len 3 the children keep their
+  // length-3 paths through the hub; they must not be rebuilt through v's
+  // newer, longer chain.
+  GraphBuilder b;
+  const VertexId root = b.AddVertex("root");
+  const VertexId hub = b.AddVertex("hub");
+  const VertexId a = b.AddVertex("a");
+  const VertexId v_b = b.AddVertex("b");
+  const VertexId v = b.AddVertex("v");
+  const VertexId c = b.AddVertex("c");
+  const VertexId d = b.AddVertex("d");
+  b.AddEdge(root, hub, "rh");
+  b.AddEdge(root, a, "ra");
+  b.AddEdge(hub, v, "hv");
+  for (int i = 0; i < 3; ++i) {
+    b.AddEdge(hub, b.AddVertex("x" + std::to_string(i)),
+              "hx" + std::to_string(i));
+  }
+  b.AddEdge(a, v_b, "ab");
+  b.AddEdge(v_b, v, "bv");
+  b.AddEdge(v, c, "vc");
+  b.AddEdge(v, d, "vd");
+  const Graph g = std::move(b).Build();
+
+  for (const size_t max_len : {3u, 4u}) {
+    const auto paths = MaxPraPaths(g, root, max_len);
+    for (const PraPath& p : paths) {
+      EXPECT_LE(p.path.labels.size(), max_len);
+      // Every edge label is unique per source vertex, so the labels name
+      // one walk from the root; it must end at the endpoint with the
+      // stored pra.
+      VertexId cur = root;
+      double pra = 1.0;
+      for (const LabelId label : p.path.labels) {
+        pra /= static_cast<double>(g.OutDegree(cur));
+        const auto edges = g.OutEdges(cur);
+        const auto e = std::find_if(edges.begin(), edges.end(),
+                                    [&](const Edge& x) {
+                                      return x.label == label;
+                                    });
+        ASSERT_NE(e, edges.end()) << "max_len=" << max_len;
+        cur = e->dst;
+      }
+      EXPECT_EQ(cur, p.path.endpoint) << "max_len=" << max_len;
+      EXPECT_DOUBLE_EQ(pra, p.pra) << "max_len=" << max_len;
+    }
+    const auto it = std::find_if(paths.begin(), paths.end(),
+                                 [&](const PraPath& p) {
+                                   return p.path.endpoint == c;
+                                 });
+    ASSERT_NE(it, paths.end());
+    // max_len 3: through the hub, 1/2 * 1/4 * 1/2; max_len 4: the quiet
+    // route reaches c at length 4, 1/2 * 1 * 1 * 1/2.
+    EXPECT_DOUBLE_EQ(it->pra, max_len == 3 ? 1.0 / 16 : 1.0 / 4);
+    EXPECT_EQ(it->path.labels.size(), max_len);
+  }
+}
+
 TEST(TraversalTest, CycleBackToRootIgnored) {
   GraphBuilder b;
   const VertexId a = b.AddVertex("a");

@@ -1,8 +1,10 @@
-// ParallelAllParaMatch must be a drop-in replacement for the serial
-// driver: byte-identical match sets for every worker count, with and
-// without inverted-index blocking, and GenerateCandidates must be
-// invariant in its thread count. Run under TSan by tools/run_tier1.sh
-// (cmake -DHER_SANITIZE=thread) to certify the shared read-only context.
+// BspAllMatch with tuple placement (every candidate of a tuple, and its
+// whole attribute recursion, on one worker — how HerSystem runs APair)
+// must be a drop-in replacement for the serial driver: byte-identical
+// match sets for every worker count, with and without inverted-index
+// blocking, and GenerateCandidates must be invariant in its thread count.
+// Run under TSan by tools/run_tier1.sh (cmake -DHER_SANITIZE=thread) to
+// certify the shared read-only context.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,9 @@
 #include "common/rng.h"
 #include "core/drivers.h"
 #include "core/match_engine.h"
+#include "graph/traversal.h"
 #include "ml/text_embedder.h"
+#include "parallel/bsp_engine.h"
 
 namespace her {
 namespace {
@@ -81,6 +85,29 @@ std::vector<VertexId> ItemRoots(const Graph& g) {
   return roots;
 }
 
+/// BSP run over `roots` with tuple placement: pair (u, v) lives on the
+/// fragment of u's root tuple, the roots dealt round-robin across
+/// `workers` fragments.
+ParallelResult RunBsp(const MatchContext& ctx,
+                      std::span<const VertexId> roots, uint32_t workers,
+                      const InvertedIndex* index = nullptr) {
+  std::vector<uint32_t> fragment_of(ctx.gd->num_vertices(), 0);
+  for (size_t i = 0; i < roots.size(); ++i) {
+    const auto frag = static_cast<uint32_t>(i % workers);
+    fragment_of[roots[i]] = frag;
+    for (const VertexId d : ReachableFrom(*ctx.gd, roots[i], 0)) {
+      fragment_of[d] = frag;
+    }
+  }
+  ParallelConfig cfg{.num_workers = workers};
+  cfg.pair_owner = [fragment_of = std::move(fragment_of)](const MatchPair& p) {
+    return fragment_of[p.first];
+  };
+  ParallelResult r = BspAllMatch(ctx, cfg).Run(roots, index);
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  return r;
+}
+
 class ParallelDriverTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelDriverTest, ByteIdenticalToSerialForAllWorkerCounts) {
@@ -90,14 +117,11 @@ TEST_P(ParallelDriverTest, ByteIdenticalToSerialForAllWorkerCounts) {
   const auto roots = ItemRoots(h.g1);
 
   const auto serial = AllParaMatch(*h.engine, roots);
-  for (const size_t workers : {1u, 2u, 8u}) {
-    MatchEngine::Stats stats;
-    const auto parallel =
-        ParallelAllParaMatch(h.ctx, roots, workers, nullptr, &stats);
-    EXPECT_EQ(parallel, serial) << "workers=" << workers;
-    EXPECT_GT(stats.para_match_calls, 0u);
-    EXPECT_EQ(stats.candidate_gen_runs,
-              std::min(workers, roots.size()));
+  for (const uint32_t workers : {1u, 2u, 8u}) {
+    const ParallelResult r = RunBsp(h.ctx, roots, workers);
+    EXPECT_EQ(r.matches, serial) << "workers=" << workers;
+    EXPECT_GT(r.stats.para_match_calls, 0u);
+    EXPECT_EQ(r.stats.candidate_gen_runs, 1u);  // one scan, then sharded
   }
 }
 
@@ -109,8 +133,8 @@ TEST_P(ParallelDriverTest, BlockedVariantAgreesAcrossWorkerCounts) {
   const InvertedIndex index(h.g2);
 
   const auto serial = AllParaMatch(*h.engine, roots, index);
-  for (const size_t workers : {1u, 2u, 8u}) {
-    EXPECT_EQ(ParallelAllParaMatch(h.ctx, roots, workers, &index), serial)
+  for (const uint32_t workers : {1u, 2u, 8u}) {
+    EXPECT_EQ(RunBsp(h.ctx, roots, workers, &index).matches, serial)
         << "workers=" << workers;
   }
 }
@@ -151,8 +175,8 @@ TEST(ParallelDriverTest, EmbeddingScorerDeterminismAcrossWorkers) {
 
   MatchEngine serial_engine(h.ctx);
   const auto serial = AllParaMatch(serial_engine, roots);
-  for (const size_t workers : {1u, 2u, 8u}) {
-    EXPECT_EQ(ParallelAllParaMatch(h.ctx, roots, workers), serial)
+  for (const uint32_t workers : {1u, 2u, 8u}) {
+    EXPECT_EQ(RunBsp(h.ctx, roots, workers).matches, serial)
         << "workers=" << workers;
   }
   EXPECT_GT(serial_engine.stats().hv_batch_calls, 0u);
@@ -162,7 +186,9 @@ TEST(ParallelDriverTest, EmptyTupleSetYieldsEmptyResult) {
   auto [g1, g2] = RandomGraphPair(5, /*roots=*/2);
   Harness h(std::move(g1), std::move(g2),
             {.sigma = 0.99, .delta = 0.9, .k = 4});
-  EXPECT_TRUE(ParallelAllParaMatch(h.ctx, {}, 4).empty());
+  const ParallelResult r = RunBsp(h.ctx, {}, 4);
+  EXPECT_TRUE(r.matches.empty());
+  EXPECT_TRUE(r.outcomes.empty());
 }
 
 }  // namespace

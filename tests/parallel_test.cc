@@ -143,75 +143,56 @@ TEST(BspAllMatchTest, MoreWorkersThanVerticesStillCorrect) {
   EXPECT_EQ(bsp.Run(roots).matches, expected);
 }
 
-/// Async mode (Section VI remark (1)): the AAP-style runtime must compute
-/// the same Pi as the BSP rounds and the sequential algorithm.
-class AsyncEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, uint32_t>> {};
-
-TEST_P(AsyncEquivalenceTest, AsyncEqualsSequential) {
-  const auto [seed, workers] = GetParam();
-  auto [g1, g2] = RandomEntityGraphs(seed, 8);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const auto roots = ItemRoots(h.g1);
-
-  MatchEngine seq(h.ctx);
-  const auto expected = AllParaMatch(seq, roots);
-
-  BspAllMatch bsp(h.ctx, {.num_workers = workers});
-  const auto result = bsp.RunAsync(roots);
-  EXPECT_EQ(result.matches, expected)
-      << "seed=" << seed << " workers=" << workers;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByWorkers, AsyncEquivalenceTest,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
-                       ::testing::Values(2u, 4u, 8u)));
-
-TEST(AsyncTest, CrossFragmentChainMatchesSync) {
-  // Same long-FK-chain construction as the sync message test: forces
-  // assumptions and invalidation traffic through the async channels.
-  GraphBuilder b1;
-  GraphBuilder b2;
-  const int n = 8;
-  std::vector<VertexId> us, vs;
-  for (int i = 0; i < n; ++i) {
-    us.push_back(b1.AddVertex("item"));
-    vs.push_back(b2.AddVertex("item"));
-  }
-  for (int i = 0; i < n; ++i) {
-    const std::string val = (i == n - 1) ? "tailA" : "x";
-    const std::string val2 = (i == n - 1) ? "tailB" : "x";
-    const VertexId c1 = b1.AddVertex(val);
-    b1.AddEdge(us[i], c1, "attr");
-    const VertexId c2 = b2.AddVertex(val2);
-    b2.AddEdge(vs[i], c2, "attr");
-    if (i + 1 < n) {
-      b1.AddEdge(us[i], us[i + 1], "ref");
-      b2.AddEdge(vs[i], vs[i + 1], "ref");
-    }
-  }
-  ContextHarness h(std::move(b1).Build(), std::move(b2).Build(),
-                   {.sigma = 0.99, .delta = 0.7, .k = 4});
-  const auto roots = ItemRoots(h.g1);
-  MatchEngine seq(h.ctx);
-  const auto expected = AllParaMatch(seq, roots);
-  BspAllMatch bsp(h.ctx,
-                  {.num_workers = 4, .strategy = PartitionStrategy::kRange});
-  const auto result = bsp.RunAsync(roots);
-  EXPECT_EQ(result.matches, expected);
-  EXPECT_GT(result.messages, 0u);
-}
-
-TEST(AsyncTest, RepeatedRunsAreDeterministicInOutcome) {
+TEST(BspAllMatchTest, RepeatedRunsAreDeterministic) {
   auto [g1, g2] = RandomEntityGraphs(123, 6);
   ContextHarness h(std::move(g1), std::move(g2), TestParams());
   const auto roots = ItemRoots(h.g1);
   BspAllMatch bsp(h.ctx, {.num_workers = 4});
-  const auto first = bsp.RunAsync(roots);
+  const auto first = bsp.Run(roots);
+  ASSERT_TRUE(first.status.ok());
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(bsp.RunAsync(roots).matches, first.matches);
+    const auto again = bsp.Run(roots);
+    EXPECT_EQ(again.matches, first.matches);
+    EXPECT_EQ(again.supersteps, first.supersteps);
+    EXPECT_EQ(again.messages, first.messages);
+    EXPECT_EQ(again.message_bytes_wire, first.message_bytes_wire);
+    ASSERT_EQ(again.outcomes.size(), first.outcomes.size());
+    for (size_t j = 0; j < first.outcomes.size(); ++j) {
+      EXPECT_EQ(again.outcomes[j].pair, first.outcomes[j].pair);
+      EXPECT_EQ(again.outcomes[j].outcome, first.outcomes[j].outcome);
+    }
   }
+}
+
+TEST(BspAllMatchTest, SharedObjectTelemetryMatchesContext) {
+  // The shared-scorer counters of a BSP run are snapshots of the objects
+  // every worker engine reads through the context; each must equal a
+  // direct read of that object after the run.
+  auto [g1, g2] = RandomEntityGraphs(7, 8);
+  ContextHarness h(std::move(g1), std::move(g2), TestParams());
+  const CachingVertexScorer hv(h.hv.get());
+  const CachingPathScorer mrho(h.mrho.get());
+  MatchContext ctx = h.ctx;
+  ctx.hv = &hv;
+  ctx.mrho = &mrho;
+  const auto roots = ItemRoots(h.g1);
+  const ParallelResult r = BspAllMatch(ctx, {.num_workers = 4}).Run(roots);
+  ASSERT_TRUE(r.status.ok());
+  const MatchEngine::Stats& s = r.stats;
+  EXPECT_GT(s.hv_batch_calls, 0u);
+  EXPECT_EQ(s.hv_batch_calls, hv.BatchCalls());
+  EXPECT_EQ(s.hv_cache_hits, hv.CacheHits());
+  EXPECT_EQ(s.hv_cache_evictions, hv.CacheEvictions());
+  EXPECT_EQ(s.hv_memo_load_factor, hv.MemoLoadFactor());
+  EXPECT_EQ(s.hrho_batch_calls, mrho.BatchCalls());
+  EXPECT_EQ(s.hrho_hash_rejects, mrho.HashRejects());
+  EXPECT_EQ(s.hrho_memo_load_factor, mrho.MemoLoadFactor());
+  EXPECT_EQ(s.memo_probe_batches, hv.ProbeBatches() + mrho.ProbeBatches());
+  EXPECT_EQ(s.memo_probe_len, hv.ProbeLen() + mrho.ProbeLen());
+  EXPECT_EQ(s.hr_batch_calls, h.hr->BatchCalls());
+  // Run times its own candidate scan.
+  EXPECT_EQ(s.candidate_gen_runs, 1u);
+  EXPECT_GT(s.candidate_gen_seconds, 0.0);
 }
 
 }  // namespace

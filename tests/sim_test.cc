@@ -161,6 +161,25 @@ TEST(CachingVertexScorerTest, ScoreBatchSharesTheMemoWithScore) {
   }
 }
 
+TEST(CachingVertexScorerTest, HitsNeverExceedProbesUnderMixedTraffic) {
+  // Scalar hits used to count while only batched keys counted as probes,
+  // so a scalar-heavy workload reported a memo hit rate above 1.
+  const TwoGraphs tg = MakeGraphs();
+  const JaccardVertexScorer inner(tg.g1, tg.g2);
+  const CachingVertexScorer cached(&inner);
+  const std::vector<VertexId> vs = {0, 1, 2};
+  std::vector<double> out(vs.size());
+  cached.ScoreBatch(0, vs, out);  // 3 probes, 0 hits
+  for (int rep = 0; rep < 4; ++rep) {
+    for (const VertexId v : vs) cached.Score(0, v);  // 12 probes, 12 hits
+  }
+  cached.ScoreBatch(0, vs, out);  // 3 probes, 3 hits
+  EXPECT_EQ(cached.ProbeBatches(), 2u);
+  EXPECT_EQ(cached.ProbeLen(), 18u);
+  EXPECT_EQ(cached.CacheHits(), 15u);
+  EXPECT_LE(cached.CacheHits(), cached.ProbeLen());
+}
+
 TEST(CachingVertexScorerTest, ScoreBatchEvictsAtTheShardCap) {
   const TwoGraphs tg = MakeWideGraphs(32);
   const JaccardVertexScorer inner(tg.g1, tg.g2);

@@ -2,10 +2,11 @@
 # Tier-1 verification: the full build + ctest suite, then a sanitizer
 # build of the parallel-driver determinism tests — the shared read-only
 # MatchContext fan-out must be data-race free (tsan) and leak/UB free
-# (asan/ubsan) — plus the batched-kernel bit-identity tests (StepProbBatch,
-# TopKBatch, PropertyTable build determinism) and the ANN candidate-
-# generation suite (IVF probe parity, sampled-recall fallback) under the
-# same sanitizer.
+# (asan/ubsan) — the fault-injection matrix, whose crash recovery decodes
+# checkpoint-shard bytes, plus the batched-kernel bit-identity tests
+# (StepProbBatch, TopKBatch, PropertyTable build determinism) and the ANN
+# candidate-generation suite (IVF probe parity, sampled-recall fallback)
+# under the same sanitizer.
 # Usage: tools/run_tier1.sh [sanitizer] [build-dir] [san-build-dir]
 #   sanitizer: tsan (default) | asan | ubsan | none
 set -euo pipefail
@@ -36,8 +37,11 @@ if [ -n "$HER_SANITIZE" ]; then
     -DHER_SANITIZE="$HER_SANITIZE"
   cmake --build "$SAN_DIR" -j --target parallel_driver_test ml_test \
     sim_test property_test persist_test ann_test flat_table_test \
-    partition_test serve_test
+    partition_test serve_test fault_tolerance_test
   "$SAN_DIR/tests/parallel_driver_test"
+  # Crash/drop/dup/flaky matrix: every injected crash restores a fragment
+  # by decoding its checkpoint-shard bytes.
+  "$SAN_DIR/tests/fault_tolerance_test"
   # Partitioner invariants + wire-codec corruption suite (the UB target
   # for the varint-delta frame decoder).
   "$SAN_DIR/tests/partition_test"
@@ -49,8 +53,9 @@ if [ -n "$HER_SANITIZE" ]; then
     --gtest_filter='LstmTest.StepProbBatch*:MlpTest.PredictBatch*'
   "$SAN_DIR/tests/sim_test" --gtest_filter='LstmPraRankerTest.*'
   "$SAN_DIR/tests/property_test" --gtest_filter='PropertyTableTest.*'
-  # Durable snapshot/checkpoint suite; WarmStartTest trains twice and is
-  # covered by plain ctest above, so it is skipped under the sanitizer.
+  # Durable snapshot/checkpoint suite, KillResume* included; WarmStartTest
+  # trains twice and is covered by plain ctest above, so it is skipped
+  # under the sanitizer.
   "$SAN_DIR/tests/persist_test" --gtest_filter='-WarmStartTest.*'
   # Serving-layer WAL corruption matrix (truncation at every byte, bit
   # flips, torn tails) — the UB/overflow target for the frame decoder.
