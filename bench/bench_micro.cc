@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of HER's hot primitives: h_v scoring,
 // M_rho scoring (trained and memoized), h_r top-k selection (PRA and
-// LSTM), and ParaMatch cold vs warm. Not a paper table; supports the
-// complexity discussion in DESIGN.md.
+// LSTM), LSTM M_r training, and ParaMatch cold vs warm. Not a paper table;
+// supports the complexity discussion in DESIGN.md.
 
 #include <benchmark/benchmark.h>
 
@@ -324,6 +324,31 @@ void BM_RankerTopKBatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankerTopKBatch)->Arg(16)->Arg(64);
+
+void BM_LstmTrain(benchmark::State& state) {
+  // One epoch of M_r training on a fixed synthetic corpus shaped like a
+  // cold ukgov link job: 2,000 sequences of 1-5 tokens over 60 tokens.
+  // Per sequence the trainer runs BPTT plus a clip-norm and Adagrad pass
+  // over all ~18k parameters, so the counter is sequences per second.
+  constexpr size_t kVocab = 60;
+  Rng rng(13);
+  std::vector<std::vector<int>> corpus(2000);
+  for (auto& seq : corpus) {
+    seq.resize(1 + rng.Below(5));
+    for (int& tok : seq) tok = static_cast<int>(rng.Below(kVocab));
+  }
+  LstmConfig cfg;
+  cfg.epochs = 1;
+  for (auto _ : state) {
+    LstmLm lm;
+    lm.Train(corpus, kVocab, cfg);
+    benchmark::DoNotOptimize(lm);
+  }
+  state.counters["sequences_per_s"] = benchmark::Counter(
+      static_cast<double>(corpus.size() * state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LstmTrain)->Unit(benchmark::kMillisecond);
 
 void BM_PropertyTableBuild(benchmark::State& state) {
   // Full blocked parallel build over both graphs with range(0) threads;

@@ -184,6 +184,9 @@ class HerSystem {
   MatchEngine& engine() { return *engine_; }
   const CanonicalGraph& canonical() const { return *canonical_; }
   bool trained() const { return trained_; }
+  /// Wall seconds of the last TrainModels run, per model; all zero when
+  /// the models came from a snapshot.
+  const TrainPhaseSeconds& train_seconds() const { return models_.seconds; }
 
  private:
   /// Replaces models_ with the snapshot's "models" section (cold-start

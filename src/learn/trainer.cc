@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "graph/traversal.h"
 
 namespace her {
@@ -75,6 +76,7 @@ std::vector<int> TokensForPath(const JointVocab& vocab,
 TrainedModels TrainModels(const Graph& gd, const Graph& g,
                           std::span<const PathPairExample> path_pairs,
                           const LearnConfig& config) {
+  const WallTimer total;
   TrainedModels m;
   m.embedder = std::make_unique<HashedTextEmbedder>(config.embedder);
   {
@@ -98,6 +100,7 @@ TrainedModels TrainModels(const Graph& gd, const Graph& g,
   Rng rng(config.seed);
 
   // (2) Pre-train edge-label embeddings on the random-walk corpus.
+  WallTimer phase;
   std::vector<std::vector<int>> corpus;
   CollectWalks(g, 1, *m.vocab, config.walks_per_vertex, config.walk_length,
                config.max_corpus_walks, rng, corpus);
@@ -110,6 +113,8 @@ TrainedModels TrainModels(const Graph& gd, const Graph& g,
   } else {
     m.sgns->Train(corpus, m.vocab->size_with_eos(), config.sgns);
   }
+  m.seconds.sgns = phase.Seconds();
+  phase.Restart();
 
   // (3) Metric model on annotated path pairs.
   std::vector<size_t> dims = {4 * m.sgns->dim()};
@@ -166,9 +171,11 @@ TrainedModels TrainModels(const Graph& gd, const Graph& g,
       m.metric->StepBce(ex.features, ex.target);
     }
   }
+  m.seconds.metric = phase.Seconds();
 
   // (4) LSTM ranking model on max-PRA paths of both graphs.
   if (config.train_lstm) {
+    phase.Restart();
     std::vector<std::vector<int>> sequences;
     CollectLstmPaths(g, 1, *m.vocab, config.lstm_path_len,
                      config.max_lstm_paths, config.lstm_min_pra, rng,
@@ -179,8 +186,10 @@ TrainedModels TrainModels(const Graph& gd, const Graph& g,
     if (!sequences.empty()) {
       m.lstm = std::make_unique<LstmLm>();
       m.lstm->Train(sequences, m.vocab->size_with_eos(), config.lstm);
+      m.seconds.lstm = phase.Seconds();
     }
   }
+  m.seconds.total = total.Seconds();
   return m;
 }
 

@@ -46,6 +46,16 @@ struct LearnConfig {
   uint64_t seed = 42;
 };
 
+/// Wall seconds TrainModels spent, in total and per model. A model that
+/// was not trained (LSTM off, no LSTM sequences) reports 0, and so do
+/// models restored from a snapshot.
+struct TrainPhaseSeconds {
+  double sgns = 0.0;    // edge-label embedding pre-training (walks + SGNS)
+  double metric = 0.0;  // metric MLP M_rho (features + BCE epochs)
+  double lstm = 0.0;    // LSTM M_r (path collection + training)
+  double total = 0.0;   // the whole TrainModels call
+};
+
 /// The learned parameter functions, ready to wire into a MatchContext.
 struct TrainedModels {
   std::unique_ptr<HashedTextEmbedder> embedder;
@@ -54,6 +64,7 @@ struct TrainedModels {
   std::unique_ptr<SgnsModel> sgns;
   std::unique_ptr<Mlp> metric;
   std::unique_ptr<LstmLm> lstm;  // null when not trained
+  TrainPhaseSeconds seconds;
 };
 
 /// Trains all parameter functions:

@@ -3,9 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/rng.h"
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace her {
 
@@ -29,38 +35,239 @@ constexpr size_t kLanes = 8;
 typedef double Vd2 __attribute__((vector_size(16)));
 #endif
 
+// Row-chain width of the training kernels. A row reduction (a gate or
+// output pre-activation, a row's squared norm) is one dependent chain of
+// double adds, so a single row runs at FP-add latency; reducing 8 rows at
+// once keeps 8 independent chains in flight. Each row still owns its
+// accumulator and adds its terms in ascending index order, so every row
+// sum is bit-identical to the one-row-at-a-time loop.
+constexpr size_t kRowChains = 8;
+
+// Calls fn(r0, std::integral_constant<size_t, N>{}) over the rows
+// [0, rows) in blocks of N = kRowChains, then 4, then single rows.
+template <typename Fn>
+void ForRowBlocks(size_t rows, Fn&& fn) {
+  size_t r = 0;
+  for (; r + kRowChains <= rows; r += kRowChains) {
+    fn(r, std::integral_constant<size_t, kRowChains>{});
+  }
+  for (; r + 4 <= rows; r += 4) fn(r, std::integral_constant<size_t, 4>{});
+  for (; r < rows; ++r) fn(r, std::integral_constant<size_t, 1>{});
+}
+
+// s[r] += sum_i double(w[r * stride + i]) * double(m) over i < n for the N
+// rows starting at w, where m is in[i], or with kSquare the weight itself
+// (Dot(row, row)). One chain per row in ascending i. The SSE2 path holds
+// rows 2p and 2p+1 in the two lanes of one register; a lane does exactly
+// the scalar multiply and add, so the sums are bit-identical.
+template <size_t N, bool kSquare>
+inline void RowChains(const float* w, size_t stride, const float* in,
+                      size_t n, double* s) {
+  size_t i = 0;
+#if defined(__SSE2__)
+  if constexpr (N % 2 == 0) {
+    constexpr size_t P = N / 2;
+    __m128d acc[P];
+    for (size_t p = 0; p < P; ++p) acc[p] = _mm_set_pd(s[2 * p + 1], s[2 * p]);
+    for (; i + 4 <= n; i += 4) {
+      __m128d x[4];
+      if constexpr (!kSquare) {
+        const __m128 xv = _mm_loadu_ps(in + i);
+        const __m128d x01 = _mm_cvtps_pd(xv);
+        const __m128d x23 = _mm_cvtps_pd(_mm_movehl_ps(xv, xv));
+        x[0] = _mm_unpacklo_pd(x01, x01);
+        x[1] = _mm_unpackhi_pd(x01, x01);
+        x[2] = _mm_unpacklo_pd(x23, x23);
+        x[3] = _mm_unpackhi_pd(x23, x23);
+      }
+      for (size_t p = 0; p < P; ++p) {
+        const __m128 va = _mm_loadu_ps(w + 2 * p * stride + i);
+        const __m128 vb = _mm_loadu_ps(w + (2 * p + 1) * stride + i);
+        const __m128 lo = _mm_unpacklo_ps(va, vb);  // a0 b0 a1 b1
+        const __m128 hi = _mm_unpackhi_ps(va, vb);  // a2 b2 a3 b3
+        const __m128d c[4] = {_mm_cvtps_pd(lo),
+                              _mm_cvtps_pd(_mm_movehl_ps(lo, lo)),
+                              _mm_cvtps_pd(hi),
+                              _mm_cvtps_pd(_mm_movehl_ps(hi, hi))};
+        for (size_t k = 0; k < 4; ++k) {
+          if constexpr (kSquare) {
+            acc[p] = _mm_add_pd(acc[p], _mm_mul_pd(c[k], c[k]));
+          } else {
+            acc[p] = _mm_add_pd(acc[p], _mm_mul_pd(c[k], x[k]));
+          }
+        }
+      }
+    }
+    for (size_t p = 0; p < P; ++p) {
+      _mm_storel_pd(s + 2 * p, acc[p]);
+      _mm_storeh_pd(s + 2 * p + 1, acc[p]);
+    }
+  }
+#endif
+  for (; i < n; ++i) {
+    for (size_t r = 0; r < N; ++r) {
+      const double v = w[r * stride + i];
+      if constexpr (kSquare) {
+        s[r] += v * v;
+      } else {
+        s[r] += v * static_cast<double>(in[i]);
+      }
+    }
+  }
+}
+
+// norm2 += Dot(row, row) for each row of a [rows][cols] arena, rows
+// added in order; the per-row dots run kRowChains rows at a time.
+double AddRowNorms(const float* g, size_t rows, size_t cols, double norm2) {
+  ForRowBlocks(rows, [&](size_t r0, auto chains) {
+    constexpr size_t N = decltype(chains)::value;
+    double s[N] = {};
+    RowChains<N, true>(g + r0 * cols, cols, nullptr, cols, s);
+    for (size_t r = 0; r < N; ++r) norm2 += s[r];
+  });
+  return norm2;
+}
+
+// dw[i] += dz * in[i] and dacc[i] += dz * w[i] over i < n. A product of
+// two floats is exact in double, so the float products here equal the
+// double products rounded to float.
+inline void AddOuterRow(float dz, const float* __restrict in,
+                        const float* __restrict w, float* __restrict dw,
+                        float* __restrict dacc, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    dw[i] += dz * in[i];
+    dacc[i] += dz * w[i];
+  }
+}
+
+// The per-sequence Adagrad step over n parameters, fused with zeroing the
+// gradient for the next sequence:
+//   gi = g * scale; if gi != 0: g2 += float(gi^2),
+//                               w -= float(lr * gi / (sqrtf(g2) + 1e-6)).
+// The packed path computes 4 floats / 2 doubles per SSE2 op. IEEE sqrt,
+// division and the float<->double conversions are correctly rounded, so
+// every lane equals the scalar result bit for bit. Lanes with gi == 0 keep
+// their old bits through a mask rather than through arithmetic (w - 0.0
+// would turn a -0.0 weight into +0.0).
+void AdagradStep(float* w, float* g2, float* g, size_t n, double scale,
+                 double lr) {
+  size_t i = 0;
+#if defined(__SSE2__)
+  const __m128d vscale = _mm_set1_pd(scale);
+  const __m128d vlr = _mm_set1_pd(lr);
+  const __m128d veps = _mm_set1_pd(1e-6);
+  const __m128d zero = _mm_setzero_pd();
+  for (; i + 4 <= n; i += 4) {
+    const __m128 gf = _mm_loadu_ps(g + i);
+    const __m128d glo = _mm_mul_pd(_mm_cvtps_pd(gf), vscale);
+    const __m128d ghi = _mm_mul_pd(_mm_cvtps_pd(_mm_movehl_ps(gf, gf)), vscale);
+    const __m128 sq = _mm_movelh_ps(_mm_cvtpd_ps(_mm_mul_pd(glo, glo)),
+                                    _mm_cvtpd_ps(_mm_mul_pd(ghi, ghi)));
+    const __m128 g2_old = _mm_loadu_ps(g2 + i);
+    const __m128 g2_new = _mm_add_ps(g2_old, sq);
+    const __m128 root = _mm_sqrt_ps(g2_new);
+    const __m128d dlo = _mm_add_pd(_mm_cvtps_pd(root), veps);
+    const __m128d dhi =
+        _mm_add_pd(_mm_cvtps_pd(_mm_movehl_ps(root, root)), veps);
+    const __m128 step =
+        _mm_movelh_ps(_mm_cvtpd_ps(_mm_div_pd(_mm_mul_pd(vlr, glo), dlo)),
+                      _mm_cvtpd_ps(_mm_div_pd(_mm_mul_pd(vlr, ghi), dhi)));
+    const __m128 w_old = _mm_loadu_ps(w + i);
+    const __m128 w_new = _mm_sub_ps(w_old, step);
+    // cmpneq is true for NaN too, matching the scalar `gi == 0.0` skip.
+    // Either 32-bit half of a 64-bit lane mask is that lane's float mask.
+    const __m128 live =
+        _mm_shuffle_ps(_mm_castpd_ps(_mm_cmpneq_pd(glo, zero)),
+                       _mm_castpd_ps(_mm_cmpneq_pd(ghi, zero)),
+                       _MM_SHUFFLE(2, 0, 2, 0));
+    _mm_storeu_ps(g2 + i, _mm_or_ps(_mm_and_ps(live, g2_new),
+                                    _mm_andnot_ps(live, g2_old)));
+    _mm_storeu_ps(w + i, _mm_or_ps(_mm_and_ps(live, w_new),
+                                   _mm_andnot_ps(live, w_old)));
+    _mm_storeu_ps(g + i, _mm_setzero_ps());
+  }
+#endif
+  for (; i < n; ++i) {
+    const double gi = g[i] * scale;
+    g[i] = 0.0f;
+    if (gi == 0.0) continue;
+    g2[i] += static_cast<float>(gi * gi);
+    w[i] -= static_cast<float>(lr * gi / (std::sqrt(g2[i]) + 1e-6));
+  }
+}
+
+// Writes a row-major [rows][cols] arena in ByteWriter::PutFloatVecs's
+// ragged-matrix format.
+void PutRows(ByteWriter* w, const Vec& arena, size_t rows, size_t cols) {
+  w->PutVarint(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    w->PutVarint(cols);
+    for (size_t i = 0; i < cols; ++i) w->PutFloat(arena[r * cols + i]);
+  }
+}
+
+// Reads a PutFloatVecs matrix that must be exactly [rows][cols] into a
+// row-major arena.
+Status GetRows(ByteReader* r, size_t rows, size_t cols, const char* what,
+               Vec* arena) {
+  std::vector<Vec> ragged;
+  HER_RETURN_NOT_OK(r->GetFloatVecs(&ragged));
+  if (ragged.size() != rows) {
+    return Status::IOError(std::string("lstm: ") + what +
+                           " shape does not match dimensions");
+  }
+  for (const Vec& row : ragged) {
+    if (row.size() != cols) {
+      return Status::IOError(std::string("lstm: ragged ") + what);
+    }
+  }
+  arena->clear();
+  arena->reserve(rows * cols);
+  for (const Vec& row : ragged) {
+    arena->insert(arena->end(), row.begin(), row.end());
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 struct LstmLm::StepCache {
   int token = -1;
-  Vec x;        // embedding input
-  Vec h_prev, c_prev;
+  Vec xh;       // the step's input [x ; h_prev] (embed + hidden)
   Vec gates;    // post-activation i,f,o,g (4*hidden)
   Vec c, tanh_c, h;
   Vec probs;    // softmax over vocab
 };
 
-void LstmLm::ForwardStep(int token, const Vec& h_prev, const Vec& c_prev,
+void LstmLm::ForwardStep(int token, const float* h_prev, const float* c_prev,
                          StepCache* cache) const {
+  HER_DCHECK(token < static_cast<int>(vocab_));
   cache->token = token;
-  cache->x = emb_[token < 0 ? vocab_ : static_cast<size_t>(token)];
-  cache->h_prev = h_prev;
-  cache->c_prev = c_prev;
-
   const size_t H = hidden_;
-  cache->gates.assign(4 * H, 0.0f);
-  for (size_t r = 0; r < 4 * H; ++r) {
-    const Vec& w = w_gates_[r];
-    double z = b_gates_[r];
-    for (size_t i = 0; i < embed_; ++i) z += static_cast<double>(w[i]) * cache->x[i];
-    for (size_t i = 0; i < H; ++i) z += static_cast<double>(w[embed_ + i]) * h_prev[i];
-    const size_t gate = r / H;
-    cache->gates[r] = static_cast<float>(
-        gate == kCell ? std::tanh(z) : Sigmoid(z));
-  }
-  cache->c.assign(H, 0.0f);
-  cache->tanh_c.assign(H, 0.0f);
-  cache->h.assign(H, 0.0f);
+  const size_t E = embed_;
+  const size_t W = E + H;
+  const float* x = EmbRow(token);
+  cache->xh.resize(W);
+  std::copy(x, x + E, cache->xh.begin());
+  std::copy(h_prev, h_prev + H, cache->xh.begin() + E);
+
+  // Gate pre-activations: each row's chain starts at its bias and adds the
+  // x terms, then the h_prev terms, in ascending index order.
+  cache->gates.resize(4 * H);
+  ForRowBlocks(4 * H, [&](size_t r0, auto chains) {
+    constexpr size_t N = decltype(chains)::value;
+    double z[N];
+    for (size_t r = 0; r < N; ++r) z[r] = b_gates_[r0 + r];
+    RowChains<N, false>(w_gates_.data() + r0 * W, W, cache->xh.data(), W, z);
+    for (size_t r = 0; r < N; ++r) {
+      const bool is_cell = (r0 + r) / H == kCell;
+      cache->gates[r0 + r] =
+          static_cast<float>(is_cell ? std::tanh(z[r]) : Sigmoid(z[r]));
+    }
+  });
+  cache->c.resize(H);
+  cache->tanh_c.resize(H);
+  cache->h.resize(H);
   for (size_t i = 0; i < H; ++i) {
     const double in = cache->gates[kIn * H + i];
     const double fg = cache->gates[kForget * H + i];
@@ -72,10 +279,17 @@ void LstmLm::ForwardStep(int token, const Vec& h_prev, const Vec& c_prev,
     cache->tanh_c[i] = static_cast<float>(tc);
     cache->h[i] = static_cast<float>(ou * tc);
   }
-  cache->probs.assign(vocab_, 0.0f);
-  for (size_t v = 0; v < vocab_; ++v) {
-    cache->probs[v] = static_cast<float>(b_out_[v] + Dot(w_out_[v], cache->h));
-  }
+  // Output logits: bias + Dot(w_out row, h), the dot chain starting at 0.
+  cache->probs.resize(vocab_);
+  const float* h = cache->h.data();
+  ForRowBlocks(vocab_, [&](size_t v0, auto chains) {
+    constexpr size_t N = decltype(chains)::value;
+    double s[N] = {};
+    RowChains<N, false>(w_out_.data() + v0 * H, H, h, H, s);
+    for (size_t r = 0; r < N; ++r) {
+      cache->probs[v0 + r] = static_cast<float>(b_out_[v0 + r] + s[r]);
+    }
+  });
   SoftmaxInPlace(cache->probs);
 }
 
@@ -86,10 +300,10 @@ LstmLm::State LstmLm::InitialState() const {
 Vec LstmLm::StepProb(State& state, int token) const {
   HER_CHECK(trained());
   StepCache cache;
-  ForwardStep(token, state.h, state.c, &cache);
-  state.h = cache.h;
-  state.c = cache.c;
-  return cache.probs;
+  ForwardStep(token, state.h.data(), state.c.data(), &cache);
+  state.h = std::move(cache.h);
+  state.c = std::move(cache.c);
+  return std::move(cache.probs);
 }
 
 void LstmLm::StepProbBatch(std::span<State> states,
@@ -117,7 +331,8 @@ void LstmLm::StepProbBatch(std::span<State> states,
     for (size_t r = 0; r < kLanes; ++r) {
       const size_t lane = g0 + std::min(r, lanes - 1);
       const int tok = tokens[lane];
-      const Vec& x = emb_[tok < 0 ? vocab_ : static_cast<size_t>(tok)];
+      HER_DCHECK(tok < static_cast<int>(vocab_));
+      const float* x = EmbRow(tok);
       const Vec& h_prev = states[lane].h;
       for (size_t i = 0; i < E; ++i) in_buf[kLanes * i + r] = x[i];
       for (size_t i = 0; i < H; ++i) {
@@ -131,7 +346,7 @@ void LstmLm::StepProbBatch(std::span<State> states,
     // starts z at the bias before accumulating — same addition order,
     // bit-identical sums.
     for (size_t rr = 0; rr < 4 * H; ++rr) {
-      const float* w = w_gates_[rr].data();
+      const float* w = w_gates_.data() + rr * W;
       const double b = b_gates_[rr];
       double s[kLanes];
 #ifdef HER_LSTM_PACKED_LANES
@@ -195,7 +410,7 @@ void LstmLm::StepProbBatch(std::span<State> states,
     // on the float logits (same SoftmaxInPlace as the scalar path).
     for (size_t r = 0; r < lanes; ++r) probs[g0 + r].assign(vocab_, 0.0f);
     for (size_t v = 0; v < vocab_; ++v) {
-      const float* w = w_out_[v].data();
+      const float* w = w_out_.data() + v * H;
       double s[kLanes];
 #ifdef HER_LSTM_PACKED_LANES
       Vd2 acc0 = {0.0, 0.0}, acc1 = {0.0, 0.0};
@@ -255,36 +470,49 @@ void LstmLm::Train(const std::vector<std::vector<int>>& sequences,
   embed_ = config.embed_dim;
   hidden_ = config.hidden_dim;
   HER_CHECK(vocab_ > 0);
+  const size_t H = hidden_;
+  const size_t E = embed_;
+  const size_t W = E + H;
 
   Rng rng(config.seed);
-  const double es = 0.5 / std::sqrt(static_cast<double>(embed_));
-  const double ws = 1.0 / std::sqrt(static_cast<double>(embed_ + hidden_));
-  const double os = 1.0 / std::sqrt(static_cast<double>(hidden_));
-
-  emb_.assign(vocab_ + 1, Vec());
-  for (auto& e : emb_) e = RandomVec(embed_, es, rng);
-  w_gates_.assign(4 * hidden_, Vec());
-  for (auto& w : w_gates_) w = RandomVec(embed_ + hidden_, ws, rng);
-  b_gates_.assign(4 * hidden_, 0.0f);
+  const double es = 0.5 / std::sqrt(static_cast<double>(E));
+  const double ws = 1.0 / std::sqrt(static_cast<double>(W));
+  const double os = 1.0 / std::sqrt(static_cast<double>(H));
+  // Gaussian init over a whole arena: the same draws, in the same order,
+  // as RandomVec row by row.
+  auto init = [&](Vec& arena, size_t n, double scale) {
+    arena.resize(n);
+    for (float& x : arena) x = static_cast<float>(rng.Normal() * scale);
+  };
+  init(emb_, (vocab_ + 1) * E, es);
+  init(w_gates_, 4 * H * W, ws);
+  b_gates_.assign(4 * H, 0.0f);
   // Forget-gate bias starts at 1 (standard trick for gradient flow).
-  for (size_t i = 0; i < hidden_; ++i) b_gates_[kForget * hidden_ + i] = 1.0f;
-  w_out_.assign(vocab_, Vec());
-  for (auto& w : w_out_) w = RandomVec(hidden_, os, rng);
+  for (size_t i = 0; i < H; ++i) b_gates_[kForget * H + i] = 1.0f;
+  init(w_out_, vocab_ * H, os);
   b_out_.assign(vocab_, 0.0f);
 
-  g2_emb_.assign(vocab_ + 1, Vec(embed_, 0.0f));
-  g2_w_gates_.assign(4 * hidden_, Vec(embed_ + hidden_, 0.0f));
-  g2_b_gates_.assign(4 * hidden_, 0.0f);
-  g2_w_out_.assign(vocab_, Vec(hidden_, 0.0f));
-  g2_b_out_.assign(vocab_, 0.0f);
+  g2_emb_.assign(emb_.size(), 0.0f);
+  g2_w_gates_.assign(w_gates_.size(), 0.0f);
+  g2_b_gates_.assign(b_gates_.size(), 0.0f);
+  g2_w_out_.assign(w_out_.size(), 0.0f);
+  g2_b_out_.assign(b_out_.size(), 0.0f);
 
-  const size_t H = hidden_;
-  // Gradient buffers reused across sequences.
-  std::vector<Vec> d_emb(vocab_ + 1, Vec(embed_, 0.0f));
-  std::vector<Vec> d_w_gates(4 * H, Vec(embed_ + H, 0.0f));
-  Vec d_b_gates(4 * H, 0.0f);
-  std::vector<Vec> d_w_out(vocab_, Vec(H, 0.0f));
-  Vec d_b_out(vocab_, 0.0f);
+  // Gradients. They are all zero between sequences: AdagradStep clears
+  // every slot it consumes.
+  Vec d_emb(emb_.size(), 0.0f);
+  Vec d_w_gates(w_gates_.size(), 0.0f);
+  Vec d_b_gates(b_gates_.size(), 0.0f);
+  Vec d_w_out(w_out_.size(), 0.0f);
+  Vec d_b_out(b_out_.size(), 0.0f);
+
+  // Scratch reused across every sequence of the call.
+  std::vector<StepCache> steps;
+  const Vec zeros(H, 0.0f);  // h and c before the first step
+  Vec dxh(W), dc(H), dgates(4 * H);  // dxh = [dx ; dh]
+  float* dh = dxh.data() + E;
+  // Embedding row read at each step; deduplicated for the clip-norm.
+  std::vector<size_t> emb_rows;
 
   std::vector<size_t> order(sequences.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -296,38 +524,34 @@ void LstmLm::Train(const std::vector<std::vector<int>>& sequences,
       if (seq.empty()) continue;
 
       // Forward, caching activations.
-      std::vector<StepCache> steps(seq.size());
-      Vec h = Vec(H, 0.0f);
-      Vec c = Vec(H, 0.0f);
+      if (steps.size() < seq.size()) steps.resize(seq.size());
+      const float* h = zeros.data();
+      const float* c = zeros.data();
       int prev = -1;
+      emb_rows.clear();
       for (size_t t = 0; t < seq.size(); ++t) {
+        HER_DCHECK(seq[t] >= 0 && static_cast<size_t>(seq[t]) < vocab_);
         ForwardStep(prev, h, c, &steps[t]);
-        h = steps[t].h;
-        c = steps[t].c;
+        h = steps[t].h.data();
+        c = steps[t].c.data();
+        emb_rows.push_back(prev < 0 ? vocab_ : static_cast<size_t>(prev));
         prev = seq[t];
       }
 
-      // Zero only the touched gradient slots (embeddings/outputs are dense
-      // over the small vocab, so a full clear is fine at these sizes).
-      for (auto& g : d_emb) std::fill(g.begin(), g.end(), 0.0f);
-      for (auto& g : d_w_gates) std::fill(g.begin(), g.end(), 0.0f);
-      std::fill(d_b_gates.begin(), d_b_gates.end(), 0.0f);
-      for (auto& g : d_w_out) std::fill(g.begin(), g.end(), 0.0f);
-      std::fill(d_b_out.begin(), d_b_out.end(), 0.0f);
-
       // Backward through time.
-      Vec dh(H, 0.0f);
-      Vec dc(H, 0.0f);
+      std::fill(dxh.begin(), dxh.end(), 0.0f);
+      std::fill(dc.begin(), dc.end(), 0.0f);
       for (size_t t = seq.size(); t-- > 0;) {
         const StepCache& sc = steps[t];
+        const float* c_prev = t > 0 ? steps[t - 1].c.data() : zeros.data();
         const int target = seq[t];
         // Softmax-CE gradient on logits.
         for (size_t v = 0; v < vocab_; ++v) {
           const double dlogit =
               sc.probs[v] - (static_cast<int>(v) == target ? 1.0 : 0.0);
           if (dlogit == 0.0) continue;
-          Vec& dw = d_w_out[v];
-          const Vec& wv = w_out_[v];
+          float* dw = d_w_out.data() + v * H;
+          const float* wv = w_out_.data() + v * H;
           for (size_t i = 0; i < H; ++i) {
             dw[i] += static_cast<float>(dlogit * sc.h[i]);
             dh[i] += static_cast<float>(dlogit * wv[i]);
@@ -335,7 +559,6 @@ void LstmLm::Train(const std::vector<std::vector<int>>& sequences,
           d_b_out[v] += static_cast<float>(dlogit);
         }
         // Through h = o * tanh(c).
-        Vec dgates(4 * H, 0.0f);
         for (size_t i = 0; i < H; ++i) {
           const double in = sc.gates[kIn * H + i];
           const double fg = sc.gates[kForget * H + i];
@@ -345,7 +568,7 @@ void LstmLm::Train(const std::vector<std::vector<int>>& sequences,
           const double d_o = dho * sc.tanh_c[i];
           double d_c = dc[i] + dho * ou * TanhD(sc.tanh_c[i]);
           const double d_i = d_c * g;
-          const double d_f = d_c * sc.c_prev[i];
+          const double d_f = d_c * c_prev[i];
           const double d_g = d_c * in;
           dc[i] = static_cast<float>(d_c * fg);  // to previous step
           dgates[kIn * H + i] = static_cast<float>(d_i * in * (1 - in));
@@ -354,112 +577,107 @@ void LstmLm::Train(const std::vector<std::vector<int>>& sequences,
           dgates[kCell * H + i] = static_cast<float>(d_g * TanhD(g));
         }
         // Through the gate linear layer into x and h_prev.
-        Vec dx(embed_, 0.0f);
-        std::fill(dh.begin(), dh.end(), 0.0f);
+        std::fill(dxh.begin(), dxh.end(), 0.0f);
         for (size_t r = 0; r < 4 * H; ++r) {
-          const double dz = dgates[r];
-          if (dz == 0.0) continue;
-          const Vec& w = w_gates_[r];
-          Vec& dw = d_w_gates[r];
-          for (size_t i = 0; i < embed_; ++i) {
-            dw[i] += static_cast<float>(dz * sc.x[i]);
-            dx[i] += static_cast<float>(dz * w[i]);
-          }
-          for (size_t i = 0; i < H; ++i) {
-            dw[embed_ + i] += static_cast<float>(dz * sc.h_prev[i]);
-            dh[i] += static_cast<float>(dz * w[embed_ + i]);
-          }
-          d_b_gates[r] += static_cast<float>(dz);
+          const float dz = dgates[r];
+          if (dz == 0.0f) continue;
+          AddOuterRow(dz, sc.xh.data(), w_gates_.data() + r * W,
+                      d_w_gates.data() + r * W, dxh.data(), W);
+          d_b_gates[r] += dz;
         }
-        const size_t emb_row = sc.token < 0 ? vocab_ : static_cast<size_t>(sc.token);
-        Axpy(1.0, dx, d_emb[emb_row]);
+        float* de = d_emb.data() + emb_rows[t] * E;
+        for (size_t i = 0; i < E; ++i) de[i] += dxh[i];
       }
 
-      // Global norm clip.
+      // Global norm clip, summed in parameter order: embedding rows, gate
+      // rows, gate bias, output rows, output bias. An embedding row no
+      // step read has an exactly-zero gradient, and adding its +0.0 to
+      // norm2 changes nothing, so only the rows read are visited.
+      std::sort(emb_rows.begin(), emb_rows.end());
+      emb_rows.erase(std::unique(emb_rows.begin(), emb_rows.end()),
+                     emb_rows.end());
       double norm2 = 0.0;
-      auto acc_norm = [&](const Vec& g) { norm2 += Dot(g, g); };
-      for (const auto& g : d_emb) acc_norm(g);
-      for (const auto& g : d_w_gates) acc_norm(g);
-      acc_norm(d_b_gates);
-      for (const auto& g : d_w_out) acc_norm(g);
-      acc_norm(d_b_out);
+      for (const size_t row : emb_rows) {
+        norm2 = AddRowNorms(d_emb.data() + row * E, 1, E, norm2);
+      }
+      norm2 = AddRowNorms(d_w_gates.data(), 4 * H, W, norm2);
+      norm2 = AddRowNorms(d_b_gates.data(), 1, 4 * H, norm2);
+      norm2 = AddRowNorms(d_w_out.data(), vocab_, H, norm2);
+      norm2 = AddRowNorms(d_b_out.data(), 1, vocab_, norm2);
       const double norm = std::sqrt(norm2);
       const double scale = norm > config.clip ? config.clip / norm : 1.0;
 
-      // Adagrad updates.
-      auto update = [&](Vec& w, Vec& g2, const Vec& g) {
-        for (size_t i = 0; i < w.size(); ++i) {
-          const double gi = g[i] * scale;
-          if (gi == 0.0) continue;
-          g2[i] += static_cast<float>(gi * gi);
-          w[i] -= static_cast<float>(config.lr * gi /
-                                     (std::sqrt(g2[i]) + 1e-6));
-        }
-      };
-      for (size_t i = 0; i < emb_.size(); ++i) update(emb_[i], g2_emb_[i], d_emb[i]);
-      for (size_t i = 0; i < w_gates_.size(); ++i) {
-        update(w_gates_[i], g2_w_gates_[i], d_w_gates[i]);
+      // Adagrad updates; they also zero the gradients for the next
+      // sequence.
+      for (const size_t row : emb_rows) {
+        AdagradStep(emb_.data() + row * E, g2_emb_.data() + row * E,
+                    d_emb.data() + row * E, E, scale, config.lr);
       }
-      update(b_gates_, g2_b_gates_, d_b_gates);
-      for (size_t i = 0; i < w_out_.size(); ++i) {
-        update(w_out_[i], g2_w_out_[i], d_w_out[i]);
-      }
-      update(b_out_, g2_b_out_, d_b_out);
+      AdagradStep(w_gates_.data(), g2_w_gates_.data(), d_w_gates.data(),
+                  w_gates_.size(), scale, config.lr);
+      AdagradStep(b_gates_.data(), g2_b_gates_.data(), d_b_gates.data(),
+                  b_gates_.size(), scale, config.lr);
+      AdagradStep(w_out_.data(), g2_w_out_.data(), d_w_out.data(),
+                  w_out_.size(), scale, config.lr);
+      AdagradStep(b_out_.data(), g2_b_out_.data(), d_b_out.data(),
+                  b_out_.size(), scale, config.lr);
     }
   }
 }
-
 
 void LstmLm::SaveState(ByteWriter* w) const {
   w->PutVarint(vocab_);
   w->PutVarint(embed_);
   w->PutVarint(hidden_);
-  w->PutFloatVecs(emb_);
-  w->PutFloatVecs(w_gates_);
+  // A never-trained model has no rows at all.
+  const bool empty = vocab_ + embed_ + hidden_ == 0;
+  const size_t emb_rows = empty ? 0 : vocab_ + 1;
+  PutRows(w, emb_, emb_rows, embed_);
+  PutRows(w, w_gates_, 4 * hidden_, embed_ + hidden_);
   w->PutFloatVec(b_gates_);
-  w->PutFloatVecs(w_out_);
+  PutRows(w, w_out_, vocab_, hidden_);
   w->PutFloatVec(b_out_);
-  w->PutFloatVecs(g2_emb_);
-  w->PutFloatVecs(g2_w_gates_);
+  PutRows(w, g2_emb_, emb_rows, embed_);
+  PutRows(w, g2_w_gates_, 4 * hidden_, embed_ + hidden_);
   w->PutFloatVec(g2_b_gates_);
-  w->PutFloatVecs(g2_w_out_);
+  PutRows(w, g2_w_out_, vocab_, hidden_);
   w->PutFloatVec(g2_b_out_);
 }
 
 Status LstmLm::LoadState(ByteReader* r) {
+  // Every dimension is bounded by the bytes left: a well-formed stream
+  // holds at least one float per unit of each (b_out, an embedding row,
+  // b_gates), so a corrupt huge count fails here and no shape product
+  // below can overflow.
   uint64_t vocab = 0, embed = 0, hidden = 0;
-  HER_RETURN_NOT_OK(r->GetCount(&vocab, 0));
-  HER_RETURN_NOT_OK(r->GetCount(&embed, 0));
-  HER_RETURN_NOT_OK(r->GetCount(&hidden, 0));
+  HER_RETURN_NOT_OK(r->GetCount(&vocab, 4));
+  HER_RETURN_NOT_OK(r->GetCount(&embed, 4));
+  HER_RETURN_NOT_OK(r->GetCount(&hidden, 4));
+  const size_t emb_rows = vocab + embed + hidden == 0 ? 0 : vocab + 1;
+  const size_t gate_rows = 4 * hidden;
+  const size_t gate_cols = embed + hidden;
   LstmLm fresh;
   fresh.vocab_ = vocab;
   fresh.embed_ = embed;
   fresh.hidden_ = hidden;
-  HER_RETURN_NOT_OK(r->GetFloatVecs(&fresh.emb_));
-  HER_RETURN_NOT_OK(r->GetFloatVecs(&fresh.w_gates_));
+  HER_RETURN_NOT_OK(GetRows(r, emb_rows, embed, "embedding", &fresh.emb_));
+  HER_RETURN_NOT_OK(
+      GetRows(r, gate_rows, gate_cols, "gate weights", &fresh.w_gates_));
   HER_RETURN_NOT_OK(r->GetFloatVec(&fresh.b_gates_));
-  HER_RETURN_NOT_OK(r->GetFloatVecs(&fresh.w_out_));
+  HER_RETURN_NOT_OK(GetRows(r, vocab, hidden, "projection", &fresh.w_out_));
   HER_RETURN_NOT_OK(r->GetFloatVec(&fresh.b_out_));
-  HER_RETURN_NOT_OK(r->GetFloatVecs(&fresh.g2_emb_));
-  HER_RETURN_NOT_OK(r->GetFloatVecs(&fresh.g2_w_gates_));
+  HER_RETURN_NOT_OK(
+      GetRows(r, emb_rows, embed, "embedding accumulators", &fresh.g2_emb_));
+  HER_RETURN_NOT_OK(GetRows(r, gate_rows, gate_cols, "gate accumulators",
+                            &fresh.g2_w_gates_));
   HER_RETURN_NOT_OK(r->GetFloatVec(&fresh.g2_b_gates_));
-  HER_RETURN_NOT_OK(r->GetFloatVecs(&fresh.g2_w_out_));
+  HER_RETURN_NOT_OK(
+      GetRows(r, vocab, hidden, "projection accumulators", &fresh.g2_w_out_));
   HER_RETURN_NOT_OK(r->GetFloatVec(&fresh.g2_b_out_));
-  if (fresh.emb_.size() != vocab + 1 || fresh.w_gates_.size() != 4 * hidden ||
-      fresh.b_gates_.size() != 4 * hidden || fresh.w_out_.size() != vocab ||
-      fresh.b_out_.size() != vocab) {
-    return Status::IOError("lstm: tensor shapes do not match dimensions");
-  }
-  for (const Vec& row : fresh.emb_) {
-    if (row.size() != embed) return Status::IOError("lstm: ragged embedding");
-  }
-  for (const Vec& row : fresh.w_gates_) {
-    if (row.size() != embed + hidden) {
-      return Status::IOError("lstm: ragged gate weights");
-    }
-  }
-  for (const Vec& row : fresh.w_out_) {
-    if (row.size() != hidden) return Status::IOError("lstm: ragged projection");
+  if (fresh.b_gates_.size() != gate_rows || fresh.b_out_.size() != vocab ||
+      fresh.g2_b_gates_.size() != gate_rows ||
+      fresh.g2_b_out_.size() != vocab) {
+    return Status::IOError("lstm: bias shapes do not match dimensions");
   }
   *this = std::move(fresh);
   return Status::OK();

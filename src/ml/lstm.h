@@ -39,7 +39,10 @@ class LstmLm {
   };
 
   /// Trains on sequences of tokens in [0, vocab_size); each sequence should
-  /// end with the caller's end-of-sentence token. Deterministic.
+  /// end with the caller's end-of-sentence token. Deterministic and
+  /// single-threaded: the kernels keep every rounding and accumulation
+  /// order of a plain per-row trainer, so the weights are bit-identical to
+  /// it (test-enforced against tests/lstm_reference.h).
   void Train(const std::vector<std::vector<int>>& sequences,
              size_t vocab_size, const LstmConfig& config);
 
@@ -79,24 +82,34 @@ class LstmLm {
  private:
   struct StepCache;  // forward activations kept for BPTT
 
-  void ForwardStep(int token, const Vec& h_prev, const Vec& c_prev,
+  /// One forward step on `token` (-1 for BOS) from the hidden_-float
+  /// states h_prev / c_prev.
+  void ForwardStep(int token, const float* h_prev, const float* c_prev,
                    StepCache* cache) const;
+
+  /// Embedding row of `token`, or of BOS for -1.
+  const float* EmbRow(int token) const {
+    return emb_.data() +
+           (token < 0 ? vocab_ : static_cast<size_t>(token)) * embed_;
+  }
 
   size_t vocab_ = 0;
   size_t embed_ = 0;
   size_t hidden_ = 0;
 
-  // Parameters (flattened row-major) and Adagrad accumulators.
-  std::vector<Vec> emb_;        // [vocab+1][embed]; last row is BOS
-  std::vector<Vec> w_gates_;    // [4*hidden][embed+hidden]
-  Vec b_gates_;                 // [4*hidden]
-  std::vector<Vec> w_out_;      // [vocab][hidden]
-  Vec b_out_;                   // [vocab]
+  // Parameters as contiguous row-major arenas, and their Adagrad
+  // accumulators in the same shapes. SaveState writes each matrix row by
+  // row, in the ragged-matrix format of ByteWriter::PutFloatVecs.
+  Vec emb_;        // [vocab+1][embed]; last row is BOS
+  Vec w_gates_;    // [4*hidden][embed+hidden]
+  Vec b_gates_;    // [4*hidden]
+  Vec w_out_;      // [vocab][hidden]
+  Vec b_out_;      // [vocab]
 
-  std::vector<Vec> g2_emb_;
-  std::vector<Vec> g2_w_gates_;
+  Vec g2_emb_;
+  Vec g2_w_gates_;
   Vec g2_b_gates_;
-  std::vector<Vec> g2_w_out_;
+  Vec g2_w_out_;
   Vec g2_b_out_;
 };
 

@@ -233,6 +233,32 @@ TEST(LearnPipelineTest, RefinementImprovesF1) {
   EXPECT_GE(r.f1_per_round.back(), 0.95);
 }
 
+TEST_F(TrainedSystemTest, ReportsTrainPhaseSeconds) {
+  const TrainPhaseSeconds& s = system_->train_seconds();
+  EXPECT_GT(s.lstm, 0.0);
+  EXPECT_LE(s.sgns + s.metric + s.lstm, s.total);
+}
+
+TEST(LearnPipelineTest, TrainModelsTimesEachPhase) {
+  DatasetSpec spec = UkgovSpec(5);
+  spec.num_entities = 40;
+  const GeneratedDataset data = Generate(spec);
+  LearnConfig cfg;
+  cfg.lstm.epochs = 1;
+  cfg.metric_epochs = 2;
+  for (const bool train_lstm : {true, false}) {
+    cfg.train_lstm = train_lstm;
+    const TrainedModels m =
+        TrainModels(data.canonical.graph(), data.g, data.path_pairs, cfg);
+    ASSERT_EQ(m.lstm != nullptr, train_lstm);
+    const TrainPhaseSeconds& s = m.seconds;
+    EXPECT_GT(s.sgns, 0.0);
+    EXPECT_GT(s.metric, 0.0);
+    EXPECT_EQ(s.lstm > 0.0, train_lstm);
+    EXPECT_LE(s.sgns + s.metric + s.lstm, s.total);
+  }
+}
+
 TEST(LearnPipelineTest, UntrainedSystemStillFunctions) {
   DatasetSpec spec = UkgovSpec(51);
   spec.num_entities = 30;

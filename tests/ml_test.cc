@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/bytes.h"
 #include "ml/lstm.h"
 #include "ml/mlp.h"
 #include "ml/random_forest.h"
@@ -10,6 +11,7 @@
 #include "ml/word_embedder.h"
 #include "ml/tfidf.h"
 #include "ml/vector_ops.h"
+#include "tests/lstm_reference.h"
 
 namespace her {
 namespace {
@@ -359,6 +361,127 @@ TEST(LstmTest, StepProbBatchHandlesEmptyBatch) {
   cfg.epochs = 1;
   lm.Train(corpus, 2, cfg);
   lm.StepProbBatch({}, {}, {});
+}
+
+std::string LstmBytes(const LstmLm& lm) {
+  ByteWriter w;
+  lm.SaveState(&w);
+  return w.data();
+}
+
+TEST(LstmTest, TrainBitIdenticalToReference) {
+  // Vocab sizes around the 4- and 8-row chain blocks (tails of 0..7 rows),
+  // a small and the production shape, clipping active (0.05) and not
+  // (5.0), and empty, 1-token and 5-token sequences.
+  const std::vector<std::pair<size_t, size_t>> shapes = {{5, 7}, {24, 48}};
+  for (const size_t vocab : {1, 3, 7, 8, 9, 61}) {
+    Rng rng(vocab);
+    std::vector<std::vector<int>> corpus;
+    for (int i = 0; i < 12; ++i) {
+      corpus.push_back({});
+      corpus.push_back({static_cast<int>(rng.Below(vocab))});
+      std::vector<int> five;
+      for (int t = 0; t < 5; ++t) {
+        five.push_back(static_cast<int>(rng.Below(vocab)));
+      }
+      corpus.push_back(five);
+    }
+    for (const auto& [embed, hidden] : shapes) {
+      for (const double clip : {0.05, 5.0}) {
+        LstmConfig cfg;
+        cfg.embed_dim = embed;
+        cfg.hidden_dim = hidden;
+        cfg.clip = clip;
+        cfg.epochs = 2;
+        ReferenceLstm ref;
+        ref.Train(corpus, vocab, cfg);
+        LstmLm lm;
+        lm.Train(corpus, vocab, cfg);
+        EXPECT_TRUE(LstmBytes(lm) == ref.SaveBytes())
+            << "vocab=" << vocab << " embed=" << embed
+            << " hidden=" << hidden << " clip=" << clip;
+      }
+    }
+    // A diverging run must match bit for bit too: lr 1e300 overflows the
+    // first Adagrad steps to inf and the weights go NaN (all but vocab 1,
+    // whose softmax is constant), so NaN propagation through every kernel
+    // and the masked lanes are compared as well.
+    LstmConfig diverge;
+    diverge.embed_dim = 5;
+    diverge.hidden_dim = 7;
+    diverge.lr = 1e300;
+    diverge.epochs = 2;
+    ReferenceLstm ref;
+    ref.Train(corpus, vocab, diverge);
+    LstmLm lm;
+    lm.Train(corpus, vocab, diverge);
+    EXPECT_TRUE(LstmBytes(lm) == ref.SaveBytes())
+        << "diverging vocab=" << vocab;
+  }
+}
+
+TEST(LstmTest, LoadStateRejectsRaggedAccumulators) {
+  // A well-formed stream whose g2_w_gates row 0 is one float short: every
+  // length prefix is consistent, only the shape is wrong.
+  const size_t vocab = 3, embed = 2, hidden = 2;
+  auto matrix = [](size_t rows, size_t cols, size_t short_row) {
+    std::vector<Vec> m(rows, Vec(cols, 0.5f));
+    if (short_row < rows) m[short_row].pop_back();
+    return m;
+  };
+  auto stream = [&](size_t short_row) {
+    ByteWriter w;
+    w.PutVarint(vocab);
+    w.PutVarint(embed);
+    w.PutVarint(hidden);
+    w.PutFloatVecs(matrix(vocab + 1, embed, SIZE_MAX));
+    w.PutFloatVecs(matrix(4 * hidden, embed + hidden, SIZE_MAX));
+    w.PutFloatVec(Vec(4 * hidden, 0.0f));
+    w.PutFloatVecs(matrix(vocab, hidden, SIZE_MAX));
+    w.PutFloatVec(Vec(vocab, 0.0f));
+    w.PutFloatVecs(matrix(vocab + 1, embed, SIZE_MAX));
+    w.PutFloatVecs(matrix(4 * hidden, embed + hidden, short_row));
+    w.PutFloatVec(Vec(4 * hidden, 0.0f));
+    w.PutFloatVecs(matrix(vocab, hidden, SIZE_MAX));
+    w.PutFloatVec(Vec(vocab, 0.0f));
+    return w.data();
+  };
+  {
+    const std::string good = stream(SIZE_MAX);
+    ByteReader r(good);
+    LstmLm lm;
+    ASSERT_TRUE(lm.LoadState(&r).ok());
+    EXPECT_TRUE(LstmBytes(lm) == good);
+  }
+
+  std::vector<std::vector<int>> corpus(10, std::vector<int>{0, 1});
+  LstmLm lm;
+  LstmConfig cfg;
+  cfg.epochs = 1;
+  lm.Train(corpus, 2, cfg);
+  const std::string before = LstmBytes(lm);
+  const std::string bad = stream(0);
+  ByteReader r(bad);
+  const Status st = lm.LoadState(&r);
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_TRUE(LstmBytes(lm) == before);
+
+  // hidden = 2^62 makes 4 * hidden wrap to 0, so empty gate tensors would
+  // pass a shape check; the dimension must fail against the payload size.
+  ByteWriter w;
+  w.PutVarint(0);
+  w.PutVarint(0);
+  w.PutVarint(uint64_t{1} << 62);
+  for (int copy = 0; copy < 2; ++copy) {
+    w.PutFloatVecs({Vec{}});
+    w.PutFloatVecs({});
+    w.PutFloatVec({});
+    w.PutFloatVecs({});
+    w.PutFloatVec({});
+  }
+  ByteReader wrapped(w.data());
+  EXPECT_EQ(lm.LoadState(&wrapped).code(), StatusCode::kIOError);
+  EXPECT_TRUE(LstmBytes(lm) == before);
 }
 
 TEST(RandomForestTest, LearnsThresholdRule) {

@@ -6,8 +6,10 @@
 //       pairs under <dir>.
 //
 //   her_cli evaluate <dir> [workers] [deadline-ms] [flags]
-//       Loads <dir>, trains HER, reports held-out F-measure, then runs
-//       APair on the parallel engine. With a deadline the run degrades
+//       Loads <dir>, trains HER, reports held-out F-measure and a
+//       "train-phases sgns_s=.. metric_s=.. lstm_s=.. total_s=.." line of
+//       per-model training wall time, then runs APair on the parallel
+//       engine. With a deadline the run degrades
 //       gracefully: it returns a partial (sound) Pi plus the count of
 //       unresolved candidates instead of overrunning the budget.
 //       Durability flags:
@@ -327,6 +329,11 @@ int CmdEvaluate(int argc, char** argv) {
         return loaded->system->SPairVertex(u, v);
       });
   std::printf("held-out: %s\n", c.ToString().c_str());
+  // Per-model training wall time (all zero on a snapshot warm start).
+  const TrainPhaseSeconds& ts = loaded->system->train_seconds();
+  std::printf("train-phases sgns_s=%.3f metric_s=%.3f lstm_s=%.3f "
+              "total_s=%.3f\n",
+              ts.sgns, ts.metric, ts.lstm, ts.total);
   RunOptions options;
   if (deadline_ms > 0) {
     options = RunOptions::WithTimeout(std::chrono::milliseconds(deadline_ms));

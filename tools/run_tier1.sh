@@ -4,7 +4,8 @@
 # MatchContext fan-out must be data-race free (tsan) and leak/UB free
 # (asan/ubsan) — the fault-injection matrix, whose crash recovery decodes
 # checkpoint-shard bytes, plus the batched-kernel bit-identity tests
-# (StepProbBatch, TopKBatch, PropertyTable build determinism) and the ANN
+# (StepProbBatch, the LSTM trainer vs its reference, TopKBatch,
+# PropertyTable build determinism) and the ANN
 # candidate-generation suite (IVF probe parity, sampled-recall fallback)
 # under the same sanitizer.
 # Usage: tools/run_tier1.sh [sanitizer] [build-dir] [san-build-dir]
@@ -49,8 +50,10 @@ if [ -n "$HER_SANITIZE" ]; then
   # for the open-addressing memo tables).
   "$SAN_DIR/tests/flat_table_test"
   "$SAN_DIR/tests/ann_test"
+  # The LSTM trainer's packed kernels against the reference trainer, and
+  # the snapshot decoder's shape checks.
   "$SAN_DIR/tests/ml_test" \
-    --gtest_filter='LstmTest.StepProbBatch*:MlpTest.PredictBatch*'
+    --gtest_filter='LstmTest.StepProbBatch*:LstmTest.Train*:LstmTest.LoadState*:MlpTest.PredictBatch*'
   "$SAN_DIR/tests/sim_test" --gtest_filter='LstmPraRankerTest.*'
   "$SAN_DIR/tests/property_test" --gtest_filter='PropertyTableTest.*'
   # Durable snapshot/checkpoint suite, KillResume* included; WarmStartTest
