@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ann/ivf_index.h"
 #include "bench/bench_util.h"
 #include "common/flat_table.h"
 #include "common/rng.h"
@@ -202,46 +201,6 @@ BENCHMARK(BM_GenerateCandidates)
     ->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_GenerateCandidatesAnn(benchmark::State& state) {
-  // The same Fig. 8 scan routed through the IVF index (candidate-mode
-  // ann): probe the top-nprobe lists per tuple vertex instead of scoring
-  // all of G. Compare against BM_GenerateCandidates; the ann_* counters
-  // surface the index telemetry.
-  BenchSystem& bs = Shared();
-  const auto* caching =
-      dynamic_cast<const CachingVertexScorer*>(bs.system->context().hv);
-  const auto* emb = dynamic_cast<const EmbeddingVertexScorer*>(
-      caching != nullptr ? caching->inner() : bs.system->context().hv);
-  if (emb == nullptr) {
-    state.SkipWithError("unexpected h_v scorer wiring");
-    return;
-  }
-  static const IvfIndex* index = new IvfIndex(IvfIndex::Build(*emb, {}));
-  MatchContext ctx = bs.system->context();
-  ctx.ann = index;
-  ctx.candidate_gen.mode = CandidateMode::kAnn;
-  ctx.candidate_gen.nprobe = static_cast<size_t>(state.range(1));
-  const auto tuples = bs.data.canonical.TupleVertices();
-  const size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        GenerateCandidates(ctx, tuples, nullptr, threads));
-  }
-  state.counters["ann_build_s"] = index->build_seconds();
-  state.counters["ann_probes"] = static_cast<double>(index->Probes());
-  state.counters["ann_lists_scanned"] =
-      static_cast<double>(index->ListsScanned());
-  state.counters["ann_points_scanned"] =
-      static_cast<double>(index->PointsScanned());
-  state.counters["ann_fallbacks"] = static_cast<double>(index->Fallbacks());
-  state.counters["ann_recall"] = index->MeasuredRecall();
-}
-BENCHMARK(BM_GenerateCandidatesAnn)
-    ->Args({1, 4})
-    ->Args({8, 4})
-    ->Args({8, 16})
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_PathScoreTrained(benchmark::State& state) {
   BenchSystem& bs = Shared();
   const auto& ctx = bs.system->context();
@@ -402,8 +361,7 @@ BENCHMARK(BM_SPairCold)->Unit(benchmark::kMicrosecond);
 void BM_BspAllMatch(benchmark::State& state) {
   // The parallel engine end to end over range(0) workers, surfacing the
   // fault-tolerance telemetry (all zero here: no injector installed, so
-  // the checkpoint/recovery machinery is fully bypassed — this is the
-  // number HER_FAULTS=OFF release builds must match).
+  // the checkpoint/recovery machinery is fully bypassed).
   BenchSystem& bs = Shared();
   const auto& ctx = bs.system->context();
   const auto tuples = bs.data.canonical.TupleVertices();
@@ -444,8 +402,7 @@ BENCHMARK(BM_BspAllMatch)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 void BM_BspAllMatchFaulted(benchmark::State& state) {
   // Same run under an injected fault plan (crash at superstep 1 plus 20%
   // drop / 10% duplication): measures the checkpoint + recovery + audit
-  // overhead relative to BM_BspAllMatch. Compiled out with HER_FAULTS=OFF
-  // (the plan is simply ignored there, making the two benchmarks equal).
+  // overhead relative to BM_BspAllMatch.
   BenchSystem& bs = Shared();
   const auto& ctx = bs.system->context();
   const auto tuples = bs.data.canonical.TupleVertices();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ann/ivf_index.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
@@ -69,91 +68,15 @@ std::vector<MatchPair> GenerateCandidates(
   std::vector<std::vector<Cand>> per_tuple(tuple_vertices.size());
   const VertexScorer* hv = BulkScorer(ctx.hv);
 
-  // Exhaustive sigma scan over the full pool for one tuple vertex. The
-  // exact path, the ANN recall probes, and the ANN fallback all share it.
-  const auto ExactSurvivors = [&](VertexId u, std::vector<Cand>& out) {
-    std::vector<double> scores(all.size());
-    hv->ScoreBatch(u, all, scores);
-    for (size_t j = 0; j < all.size(); ++j) {
-      if (scores[j] >= ctx.params.sigma) {
-        out.push_back(Cand{u, all[j], ctx.g->Degree(all[j])});
-      }
-    }
-  };
-
-  // The ANN probe only ever prunes the pool: scanned vertices get scores
-  // bit-identical to the exact kernel, so its sigma-survivors are a subset
-  // of the exact ones. Blocked (InvertedIndex) calls keep the label pool.
-  bool ann_active = index == nullptr && ctx.ann != nullptr &&
-                    !ctx.ann->empty() &&
-                    ctx.candidate_gen.mode == CandidateMode::kAnn;
-  std::vector<char> validated(tuple_vertices.size(), 0);
-  if (ann_active && ctx.candidate_gen.min_recall > 0 &&
-      ctx.candidate_gen.recall_sample > 0 && !tuple_vertices.empty()) {
-    // Deterministic evenly-spaced sample of tuple positions (depends only
-    // on the tuple count, so the measured recall -- and any fallback
-    // decision -- is identical for every num_threads). Sampled positions
-    // are scanned exactly anyway, so their survivor lists are kept.
-    const size_t n = tuple_vertices.size();
-    const size_t k = std::min(ctx.candidate_gen.recall_sample, n);
-    std::vector<size_t> sample(k);
-    for (size_t s = 0; s < k; ++s) sample[s] = s * n / k;
-    for (const size_t i : sample) validated[i] = 1;
-    std::vector<size_t> exact_hits(k, 0), ann_hits(k, 0);
-    ParallelFor(k, num_threads, [&](size_t s) {
-      const size_t i = sample[s];
-      const VertexId u = tuple_vertices[i];
-      ExactSurvivors(u, per_tuple[i]);
-      exact_hits[s] = per_tuple[i].size();
-      static thread_local std::vector<AnnHit> hits;
-      hits.clear();
-      ctx.ann->Probe(u, ctx.candidate_gen.nprobe, &hits);
-      size_t kept = 0;
-      for (const AnnHit& h : hits) kept += h.score >= ctx.params.sigma;
-      ann_hits[s] = kept;
-    });
-    size_t matched = 0, total = 0;
-    for (size_t s = 0; s < k; ++s) {
-      matched += ann_hits[s];
-      total += exact_hits[s];
-    }
-    ctx.ann->NoteRecall(matched, total);
-    if (total > 0 && static_cast<double>(matched) <
-                         ctx.candidate_gen.min_recall *
-                             static_cast<double>(total)) {
-      // Sampled recall under the floor: distrust the index for this whole
-      // call and rescan everything exactly.
-      ann_active = false;
-      ctx.ann->NoteFallback();
-    }
-  }
-
   ParallelFor(tuple_vertices.size(), num_threads, [&](size_t i) {
-    if (validated[i]) return;  // already holds the exact survivor list
     const VertexId u = tuple_vertices[i];
-    auto& out = per_tuple[i];
-    if (ann_active) {
-      // Probe returns hits sorted by vertex id, so `out` stays v-sorted
-      // exactly as the counting-scatter merge below requires. The buffer
-      // is per-thread scratch, reused across tuple vertices.
-      static thread_local std::vector<AnnHit> hits;
-      hits.clear();
-      ctx.ann->Probe(u, ctx.candidate_gen.nprobe, &hits);
-      out.reserve(hits.size());
-      for (const AnnHit& h : hits) {
-        if (h.score >= ctx.params.sigma) {
-          out.push_back(Cand{u, h.v, ctx.g->Degree(h.v)});
-        }
-      }
-      return;
-    }
-    if (index == nullptr) {
-      ExactSurvivors(u, out);
-      return;
-    }
-    const std::vector<VertexId> pool = index->Lookup(ctx.gd->label(u));
+    std::vector<VertexId> blocked;
+    if (index != nullptr) blocked = index->Lookup(ctx.gd->label(u));
+    const std::span<const VertexId> pool =
+        index == nullptr ? all : std::span<const VertexId>(blocked);
     std::vector<double> scores(pool.size());
     hv->ScoreBatch(u, pool, scores);
+    auto& out = per_tuple[i];
     for (size_t j = 0; j < pool.size(); ++j) {
       if (scores[j] >= ctx.params.sigma) {
         out.push_back(Cand{u, pool[j], ctx.g->Degree(pool[j])});

@@ -13,35 +13,6 @@
 
 namespace her {
 
-class IvfIndex;  // src/ann/ivf_index.h
-
-/// How GenerateCandidates scans G for sigma-survivors.
-enum class CandidateMode {
-  /// Exhaustive |T| x |V| ScoreBatch sweep — the provable baseline.
-  kExact = 0,
-  /// IVF probe over the h_v embedding index (MatchContext::ann): each
-  /// tuple vertex scans only its nprobe nearest inverted lists. Scores of
-  /// scanned vertices are bit-identical to the exact path (same blocked
-  /// kernel), so ANN only prunes the pool; the sigma filter and the
-  /// degree-ordered merge run unchanged on the survivors.
-  kAnn = 1,
-};
-
-/// Candidate-generation knob (Fig. 8 lines 1-3), threaded from
-/// HerConfig / ParallelConfig / her_cli down to GenerateCandidates.
-struct CandidateGenConfig {
-  CandidateMode mode = CandidateMode::kExact;
-  /// Inverted lists scanned per probe (ANN mode).
-  size_t nprobe = 8;
-  /// Recall floor, enforced per GenerateCandidates call: a deterministic
-  /// sample of tuple vertices is validated against the exact scan, and a
-  /// measured recall below this falls the whole call back to exact
-  /// (counted as Stats::ann_fallbacks). 0 disables the check.
-  double min_recall = 0.99;
-  /// Tuple vertices sampled for that check (clamped to the tuple count).
-  size_t recall_sample = 8;
-};
-
 /// The identity candidate pool [0, |V(G)|), materialized at most once and
 /// shared by every copy of a MatchContext (the BSP engine copies the
 /// context for its candidate scan; the pool state is behind a shared_ptr
@@ -86,13 +57,7 @@ struct MatchContext {
   /// Optional offline h_r materialization (see PropertyTable in
   /// match_engine.h); engines fall back to calling hr lazily when null.
   const class PropertyTable* properties = nullptr;
-  /// Optional IVF index over the h_v embeddings of G (src/ann); required
-  /// when candidate_gen.mode is kAnn, ignored otherwise. Borrowed,
-  /// immutable and thread-safe like the scorers.
-  const IvfIndex* ann = nullptr;
   SimulationParams params;
-  /// How GenerateCandidates scans G (exact sweep vs ANN probe).
-  CandidateGenConfig candidate_gen;
   /// Lazily materialized identity pool for the exhaustive scans; shared
   /// across context copies (one |V| vector per system, not per call).
   SharedVertexPool all_vertices;

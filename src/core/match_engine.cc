@@ -5,7 +5,6 @@
 #include <limits>
 #include <mutex>
 
-#include "ann/ivf_index.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -143,54 +142,50 @@ const MatchEngine::CacheEntry* MatchEngine::Lookup(VertexId u,
   return cache_.Find(PairKey(u, v));
 }
 
-const MatchEngine::Stats& MatchEngine::stats() const {
+void ReadSharedTelemetry(const MatchContext& ctx, MatchEngine::Stats* s) {
   // The memo probe counters span both shared caching scorers; recompute
-  // the sums wholesale so repeated stats() calls stay idempotent.
+  // the sums wholesale so repeated reads stay idempotent.
   size_t probe_batches = 0;
   size_t probe_len = 0;
-  if (ctx_.hv != nullptr) {
-    stats_.hv_batch_calls = ctx_.hv->BatchCalls();
+  if (ctx.hv != nullptr) {
+    s->hv_batch_calls = ctx.hv->BatchCalls();
     if (const auto* caching =
-            dynamic_cast<const CachingVertexScorer*>(ctx_.hv)) {
-      stats_.hv_cache_hits = caching->CacheHits();
-      stats_.hv_cache_evictions = caching->CacheEvictions();
-      stats_.hv_memo_load_factor = caching->MemoLoadFactor();
+            dynamic_cast<const CachingVertexScorer*>(ctx.hv)) {
+      s->hv_cache_hits = caching->CacheHits();
+      s->hv_cache_evictions = caching->CacheEvictions();
+      s->hv_memo_load_factor = caching->MemoLoadFactor();
       probe_batches += caching->ProbeBatches();
       probe_len += caching->ProbeLen();
     }
   }
-  if (ctx_.mrho != nullptr) {
-    stats_.hrho_batch_calls = ctx_.mrho->BatchCalls();
+  if (ctx.mrho != nullptr) {
+    s->hrho_batch_calls = ctx.mrho->BatchCalls();
     if (const auto* caching =
-            dynamic_cast<const CachingPathScorer*>(ctx_.mrho)) {
-      stats_.hrho_hash_rejects = caching->HashRejects();
-      stats_.hrho_memo_load_factor = caching->MemoLoadFactor();
+            dynamic_cast<const CachingPathScorer*>(ctx.mrho)) {
+      s->hrho_hash_rejects = caching->HashRejects();
+      s->hrho_memo_load_factor = caching->MemoLoadFactor();
       probe_batches += caching->ProbeBatches();
       probe_len += caching->ProbeLen();
     }
   }
-  stats_.memo_probe_batches = probe_batches;
-  stats_.memo_probe_len = probe_len;
+  s->memo_probe_batches = probe_batches;
+  s->memo_probe_len = probe_len;
+  if (ctx.hr != nullptr) {
+    s->hr_batch_calls = ctx.hr->BatchCalls();
+    if (const auto* lstm = dynamic_cast<const LstmPraRanker*>(ctx.hr)) {
+      s->hr_lstm_batch_calls = lstm->LstmBatchCalls();
+      s->hr_lstm_lanes = lstm->LstmBatchLanes();
+      s->hr_walk_rounds = lstm->WalkRounds();
+    }
+  }
+  if (ctx.properties != nullptr) {
+    s->ptable_build_seconds = ctx.properties->build_seconds();
+  }
+}
+
+const MatchEngine::Stats& MatchEngine::stats() const {
+  ReadSharedTelemetry(ctx_, &stats_);
   stats_.engine_cache_load_factor = cache_.LoadFactor();
-  if (ctx_.hr != nullptr) {
-    stats_.hr_batch_calls = ctx_.hr->BatchCalls();
-    if (const auto* lstm = dynamic_cast<const LstmPraRanker*>(ctx_.hr)) {
-      stats_.hr_lstm_batch_calls = lstm->LstmBatchCalls();
-      stats_.hr_lstm_lanes = lstm->LstmBatchLanes();
-      stats_.hr_walk_rounds = lstm->WalkRounds();
-    }
-  }
-  if (ctx_.properties != nullptr) {
-    stats_.ptable_build_seconds = ctx_.properties->build_seconds();
-  }
-  if (ctx_.ann != nullptr) {
-    stats_.ann_probes = ctx_.ann->Probes();
-    stats_.ann_lists_scanned = ctx_.ann->ListsScanned();
-    stats_.ann_points_scanned = ctx_.ann->PointsScanned();
-    stats_.ann_fallbacks = ctx_.ann->Fallbacks();
-    stats_.ann_recall = ctx_.ann->MeasuredRecall();
-    stats_.ann_build_seconds = ctx_.ann->build_seconds();
-  }
   stats_.unresolved_pairs = unresolved_.size();
   return stats_;
 }

@@ -168,46 +168,29 @@ class MatchEngine {
     size_t budget_exhausted = 0;   // pairs conservatively failed at budget
     size_t hrho_evaluations = 0;   // h_rho computations
     size_t border_assumptions = 0;  // pairs optimistically assumed (BSP)
-    // --- h_v kernel telemetry (snapshots of the context's scorer, which
-    // is shared: across engines these are global counters, not per-engine
-    // deltas, so the BSP aggregation does not sum them) ---
-    size_t hv_batch_calls = 0;     // ScoreBatch invocations
-    size_t hv_cache_hits = 0;      // memoized h_v probes (CachingVertexScorer)
-    size_t hv_cache_evictions = 0;  // h_v memo shard resets
-    // --- h_rho kernel telemetry. The first two are snapshots of the
-    // shared PathScorer (same aggregation caveat as the h_v fields); the
-    // rest are per-engine counters and sum across engines. ---
-    size_t hrho_batch_calls = 0;   // PathScorer::ScoreBatch invocations
-    size_t hrho_hash_rejects = 0;  // CachingPathScorer collisions caught
+    // --- kernel and memo telemetry. Fields marked "shared" are snapshots
+    // of the context's shared scorers and PropertyTable, filled only by
+    // ReadSharedTelemetry: across engines they are global values, not
+    // per-engine deltas, so the BSP aggregation reads them once from its
+    // context instead of summing workers. The rest are per-engine. ---
+    size_t hv_batch_calls = 0;     // shared: h_v ScoreBatch invocations
+    size_t hv_cache_hits = 0;      // shared: memoized h_v probes
+    size_t hv_cache_evictions = 0;  // shared: h_v memo shard resets
+    size_t hrho_batch_calls = 0;   // shared: PathScorer::ScoreBatch calls
+    size_t hrho_hash_rejects = 0;  // shared: CachingPathScorer collisions
     size_t hrho_embed_reuse = 0;   // precomputed path embeddings consumed
     size_t hrho_list_memo_hits = 0;       // candidate-list memo hits
     size_t hrho_list_memo_evictions = 0;  // candidate-list memo resets
-    // --- h_r kernel telemetry (snapshots of the context's shared
-    // DescendantRanker / PropertyTable — same aggregation caveat as the
-    // h_v fields: the BSP aggregation assigns, never sums, them) ---
-    size_t hr_batch_calls = 0;       // TopKBatch invocations
-    size_t hr_lstm_batch_calls = 0;  // StepProbBatch rounds (LstmPraRanker)
-    size_t hr_lstm_lanes = 0;        // total lanes across those rounds
-    size_t hr_walk_rounds = 0;       // lockstep frontier rounds
-    double ptable_build_seconds = 0.0;  // last PropertyTable Build/Refresh
-    // --- ANN candidate-generation telemetry (snapshots of the context's
-    // shared IvfIndex — same aggregation caveat as the h_v fields: the BSP
-    // aggregation assigns, never sums, them) ---
-    size_t ann_probes = 0;         // IvfIndex::Probe calls
-    size_t ann_lists_scanned = 0;  // inverted lists scanned across probes
-    size_t ann_points_scanned = 0;  // candidate rows scored across probes
-    size_t ann_fallbacks = 0;      // calls demoted to exact on low recall
-    double ann_recall = 1.0;       // measured recall over sampled probes
-    double ann_build_seconds = 0.0;  // IvfIndex::Build wall time
-    // --- flat-table memo telemetry. The probe counters and the two scorer
-    // load factors are snapshots of the context's shared caching scorers
-    // (same aggregation caveat as the h_v fields: the BSP aggregation
-    // assigns, never sums, them); engine_cache_load_factor is per-engine
-    // and max-merges across workers (occupancies do not add). ---
-    size_t memo_probe_batches = 0;  // batched probes into the hv+mrho memos
-    size_t memo_probe_len = 0;      // keys probed, scalar probes included
-    double hv_memo_load_factor = 0.0;    // h_v memo shard occupancy [0,1]
-    double hrho_memo_load_factor = 0.0;  // M_rho memo shard occupancy [0,1]
+    size_t hr_batch_calls = 0;       // shared: TopKBatch invocations
+    size_t hr_lstm_batch_calls = 0;  // shared: StepProbBatch rounds
+    size_t hr_lstm_lanes = 0;        // shared: lanes across those rounds
+    size_t hr_walk_rounds = 0;       // shared: lockstep frontier rounds
+    double ptable_build_seconds = 0.0;  // shared: last PropertyTable build
+    size_t memo_probe_batches = 0;  // shared: batched hv+mrho memo probes
+    size_t memo_probe_len = 0;      // shared: keys probed, scalar included
+    double hv_memo_load_factor = 0.0;    // shared: h_v memo occupancy [0,1]
+    double hrho_memo_load_factor = 0.0;  // shared: M_rho memo occupancy
+    // Per-engine; max-merges across BSP workers (occupancies do not add).
     double engine_cache_load_factor = 0.0;  // this engine's verdict table
     // Wall seconds spent restoring state from a durable snapshot (0 on a
     // cold run); with ptable_build_seconds == 0 it is the observable proof
@@ -360,8 +343,8 @@ class MatchEngine {
     lists_memo_cap_ = std::max<size_t>(1, cap);
   }
 
-  /// Engine counters, with the h_v scorer telemetry refreshed from the
-  /// context's (shared) VertexScorer at call time.
+  /// Engine counters, with the shared fields refreshed from the context
+  /// at call time (ReadSharedTelemetry).
   const Stats& stats() const;
 
   /// Records one GenerateCandidates run's wall time (called by the
@@ -465,7 +448,7 @@ class MatchEngine {
   }
 
   const MatchContext& ctx_;
-  // mutable: stats() refreshes the h_v scorer snapshot fields on read.
+  // mutable: stats() refreshes the shared snapshot fields on read.
   mutable Stats stats_;
 
   // Pair verdicts, keyed by PairKey(u, v) in a cache-line-bucketed flat
@@ -498,6 +481,12 @@ class MatchEngine {
   size_t lists_memo_cap_ = kDefaultListMemoCap;
   FlatTable<std::shared_ptr<const CandLists>> lists_memo_;
 };
+
+/// Fills the "shared" fields of `stats` from the objects `ctx` points at
+/// (h_v and M_rho scorers with their memos, h_r ranker, PropertyTable).
+/// The one place that lists them: MatchEngine::stats() calls it for one
+/// engine, BspAllMatch once for the aggregate of all its workers.
+void ReadSharedTelemetry(const MatchContext& ctx, MatchEngine::Stats* stats);
 
 }  // namespace her
 

@@ -420,7 +420,7 @@ constexpr uint64_t kSkelSalt = 0x2af7398005aaa5c7ULL;
 constexpr uint64_t kFamilySalt = 0x44db015024904457ULL;
 constexpr uint64_t kBrandSalt = 0x9c15f73e62a76ae2ULL;
 constexpr uint64_t kItemSalt = 0x75834ddeb45cc766ULL;
-constexpr uint64_t kAnnoSalt = 0x3290ac3a203001bfULL;
+constexpr uint64_t kPairSalt = 0x3290ac3a203001bfULL;
 
 /// One brand's canonical fields plus its pre-noised graph rendering.
 struct RenderedBrand {
@@ -713,7 +713,7 @@ GeneratedDataset GenerateParallel(const DatasetSpec& spec) {
       }
     }
   }
-  Rng arng(Mix64(seed ^ kAnnoSalt));
+  Rng arng(Mix64(seed ^ kPairSalt));
   std::vector<std::pair<VertexId, VertexId>> pos_pool = positives;
   arng.Shuffle(pos_pool);
   const size_t n_pos = std::min<size_t>(

@@ -41,7 +41,6 @@ HerSystem::HerSystem(const CanonicalGraph& canonical, const Graph& g,
   ctx_.g = g_;
   ctx_.vocab = models_.vocab.get();
   ctx_.params = config_.params;
-  ctx_.candidate_gen = config_.candidate_gen;
   ctx_.enable_early_termination = config_.enable_early_termination;
   ctx_.enable_degree_sort = config_.enable_degree_sort;
   RebuildScorers();
@@ -75,10 +74,6 @@ void HerSystem::RebuildScorers() {
     hr_ = std::make_unique<PraRanker>(canonical_->graph(), *g_,
                                       config_.ranker_max_len);
   }
-  // hv_ was just replaced, so any IVF index over the previous embedding
-  // matrix is stale; EnsureAnnIndex/TrainOrLoad rebuild or reload it.
-  ann_.reset();
-  ctx_.ann = nullptr;
   hv_cache_ = std::make_unique<CachingVertexScorer>(hv_.get());
   ctx_.hv = hv_cache_.get();
   ctx_.mrho = mrho_.get();
@@ -100,21 +95,11 @@ void HerSystem::Train(std::span<const PathPairExample> path_pairs,
   ctx_.properties = properties_.get();
   engine_ = std::make_unique<MatchEngine>(ctx_);
   trained_ = true;
-  EnsureAnnIndex();
   if (config_.tune_params && !validation.empty()) {
     const RandomSearchResult tuned =
         RandomSearchParams(ctx_, validation, config_.search);
     SetParams(tuned.best);
   }
-}
-
-void HerSystem::EnsureAnnIndex() {
-  if (config_.candidate_gen.mode != CandidateMode::kAnn) return;
-  if (ann_ == nullptr) {
-    ann_ = std::make_unique<IvfIndex>(
-        IvfIndex::Build(*hv_, config_.ann_build));
-  }
-  ctx_.ann = ann_.get();
 }
 
 uint64_t HerSystem::Fingerprint() const {
@@ -141,9 +126,6 @@ Status HerSystem::SaveSnapshot(const std::string& path, Env* env) const {
   p->PutVarint(static_cast<uint64_t>(ctx_.params.k));
   if (properties_ != nullptr) {
     properties_->SaveState(snap.AddSection("ptable"));
-  }
-  if (ann_ != nullptr) {
-    ann_->SaveState(snap.AddSection("ann_index"));
   }
   engine_->SaveEngineState(snap.AddSection("engine_state"));
   engine_->SaveWarmCaches(snap.AddSection("warm_caches"));
@@ -274,36 +256,6 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
   engine_ = std::make_unique<MatchEngine>(ctx_);
   trained_ = true;
 
-  // Layer 1c: the IVF candidate index (ANN mode only). Bound to the exact
-  // embedding matrix via its digest: a stale section (embeddings changed)
-  // or a missing one (snapshot predates ANN mode) rebuilds just the
-  // index, never the models above it.
-  bool warm_ann = true;
-  if (config_.candidate_gen.mode == CandidateMode::kAnn) {
-    warm_ann = false;
-    if (snap.has_value()) {
-      WallTimer t;
-      auto sec = snap->Section("ann_index");
-      Status st = Status::OK();
-      if (sec.ok()) {
-        auto loaded = std::make_unique<IvfIndex>();
-        st = loaded->LoadState(&sec.value(), *hv_);
-        if (st.ok()) {
-          ann_ = std::move(loaded);
-          warm_ann = true;
-        }
-      } else {
-        st = sec.status();
-      }
-      snap_seconds += t.Seconds();
-      if (!st.ok()) {
-        std::cerr << "her: snapshot ann_index section rejected ("
-                  << st.ToString() << "); rebuilding" << std::endl;
-      }
-    }
-    EnsureAnnIndex();  // no-op when the load above succeeded
-  }
-
   // Tuned thresholds: restoring them skips the random search (and is what
   // makes the warm caches below safe to reuse — verdicts are only valid
   // under the thresholds they were computed with).
@@ -362,7 +314,7 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
 
   // Self-priming: whenever anything was rebuilt, persist the refreshed
   // snapshot so the next restart starts fully warm.
-  if (!warm_models || !warm_ptable || !warm_params || !warm_ann) {
+  if (!warm_models || !warm_ptable || !warm_params) {
     const Status st = SaveSnapshot(snapshot_path, env);
     if (!st.ok()) {
       std::cerr << "her: snapshot save failed (" << st.ToString() << ")"
@@ -437,12 +389,6 @@ std::vector<VertexId> HerSystem::VPairVertex(VertexId u_t, bool use_blocking) {
 
 std::vector<MatchPair> HerSystem::APair(bool use_blocking) {
   const auto tuples = canonical_->TupleVertices();
-  if (config_.candidate_gen.mode == CandidateMode::kAnn) {
-    // ANN replaces label blocking as the pruning device: route through
-    // the unblocked driver, whose GenerateCandidates probes the index.
-    EnsureAnnIndex();
-    return AllParaMatch(*engine_, tuples);
-  }
   if (!use_blocking) return AllParaMatch(*engine_, tuples);
   EnsureBlockingIndex();
   std::vector<MatchPair> result;
@@ -498,10 +444,6 @@ ParallelResult HerSystem::APairParallel(uint32_t workers, bool use_blocking,
     return static_cast<uint32_t>(Mix64(gd_root_[p.first]) % workers);
   };
   BspAllMatch bsp(ctx_, pcfg);
-  if (config_.candidate_gen.mode == CandidateMode::kAnn) {
-    EnsureAnnIndex();
-    return bsp.Run(tuples, nullptr, options);
-  }
   if (!use_blocking) return bsp.Run(tuples, nullptr, options);
   EnsureBlockingIndex();
   std::vector<MatchPair> candidates;

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "ann/ivf_index.h"
 #include "common/env.h"
 #include "core/candidates.h"
 #include "core/drivers.h"
@@ -31,13 +30,6 @@ struct HerConfig {
   size_t ranker_max_len = 4;
   /// Posting-list cap for the blocking index; 0 derives it from |V|.
   size_t blocking_max_posting = 0;
-  /// How the APair drivers scan G for sigma-survivors (exact |T| x |V|
-  /// sweep vs IVF probe over the h_v embeddings). ANN mode replaces label
-  /// blocking as the pruning device: APair/APairParallel route through
-  /// the unblocked driver, which probes the index.
-  CandidateGenConfig candidate_gen;
-  /// IVF build knobs (nlist/seed/iterations); nlist 0 derives from |V|.
-  IvfBuildConfig ann_build;
   /// Section V strategy switches (ablation only; keep on in production).
   bool enable_early_termination = true;
   bool enable_degree_sort = true;
@@ -146,14 +138,6 @@ class HerSystem {
   /// Replaces thresholds and resets the engine caches.
   void SetParams(const SimulationParams& params);
 
-  /// Builds the IVF index over the h_v embeddings of G if ANN candidate
-  /// generation is configured and the index is missing (APair does this
-  /// lazily; benches call it up front to time the build separately).
-  void EnsureAnnIndex();
-
-  /// The IVF index, or null when ANN mode is off / not yet built.
-  const IvfIndex* ann_index() const { return ann_.get(); }
-
   /// Incremental maintenance (Section VI remark (2)): switches to an
   /// updated version of G with the same vertex set and labels but
   /// possibly different edges. Re-ranks only the vertices whose property
@@ -214,7 +198,6 @@ class HerSystem {
   std::unique_ptr<CachingPathScorer> mrho_;
   std::unique_ptr<DescendantRanker> hr_;
   std::unique_ptr<PropertyTable> properties_;  // offline h_r (post-Train)
-  std::unique_ptr<IvfIndex> ann_;  // IVF over hv_'s G rows (ANN mode)
   MatchContext ctx_;
   std::unique_ptr<MatchEngine> engine_;
   std::unique_ptr<InvertedIndex> blocking_;

@@ -68,34 +68,6 @@ void Subscribe(Worker& w, const MatchPair& p, uint32_t origin) {
   }
 }
 
-/// Copies the shared-scorer/table snapshot fields of one worker's stats
-/// into the aggregate. Every engine snapshots the same shared objects, so
-/// these are assigned (any worker's copy is the global value), never
-/// summed like the per-engine counters.
-void AssignSharedSnapshots(const MatchEngine::Stats& s,
-                           MatchEngine::Stats* agg) {
-  agg->hv_batch_calls = s.hv_batch_calls;
-  agg->hv_cache_hits = s.hv_cache_hits;
-  agg->hv_cache_evictions = s.hv_cache_evictions;
-  agg->hrho_batch_calls = s.hrho_batch_calls;
-  agg->hrho_hash_rejects = s.hrho_hash_rejects;
-  agg->hr_batch_calls = s.hr_batch_calls;
-  agg->hr_lstm_batch_calls = s.hr_lstm_batch_calls;
-  agg->hr_lstm_lanes = s.hr_lstm_lanes;
-  agg->hr_walk_rounds = s.hr_walk_rounds;
-  agg->ptable_build_seconds = s.ptable_build_seconds;
-  agg->ann_probes = s.ann_probes;
-  agg->ann_lists_scanned = s.ann_lists_scanned;
-  agg->ann_points_scanned = s.ann_points_scanned;
-  agg->ann_fallbacks = s.ann_fallbacks;
-  agg->ann_recall = s.ann_recall;
-  agg->ann_build_seconds = s.ann_build_seconds;
-  agg->memo_probe_batches = s.memo_probe_batches;
-  agg->memo_probe_len = s.memo_probe_len;
-  agg->hv_memo_load_factor = s.hv_memo_load_factor;
-  agg->hrho_memo_load_factor = s.hrho_memo_load_factor;
-}
-
 /// Sums one worker's per-engine counters into the aggregate.
 void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
   agg->para_match_calls += s.para_match_calls;
@@ -112,7 +84,6 @@ void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
   // the meaningful fleet-level number.
   agg->engine_cache_load_factor =
       std::max(agg->engine_cache_load_factor, s.engine_cache_load_factor);
-  AssignSharedSnapshots(s, agg);
 }
 
 /// Fills matches/outcomes/unresolved_pairs from the workers' verdicts for
@@ -537,19 +508,17 @@ Status BspAllMatch::Validate(std::span<const MatchPair> candidates) const {
   if (config_.num_workers == 0) {
     return Status::InvalidArgument("ParallelConfig.num_workers must be > 0");
   }
-  if constexpr (kFaultInjectionEnabled) {
-    if (config_.faults != nullptr && config_.faults->plan().crash) {
-      const CrashFault& crash = *config_.faults->plan().crash;
-      if (config_.num_workers < 2) {
-        return Status::InvalidArgument(
-            "crash fault plans need at least 2 workers: a lone host has "
-            "no survivor to recover its fragment on");
-      }
-      if (crash.worker >= config_.num_workers) {
-        return Status::InvalidArgument(
-            "crash fault plan names worker " + std::to_string(crash.worker) +
-            " but num_workers is " + std::to_string(config_.num_workers));
-      }
+  if (config_.faults != nullptr && config_.faults->plan().crash) {
+    const CrashFault& crash = *config_.faults->plan().crash;
+    if (config_.num_workers < 2) {
+      return Status::InvalidArgument(
+          "crash fault plans need at least 2 workers: a lone host has "
+          "no survivor to recover its fragment on");
+    }
+    if (crash.worker >= config_.num_workers) {
+      return Status::InvalidArgument(
+          "crash fault plan names worker " + std::to_string(crash.worker) +
+          " but num_workers is " + std::to_string(config_.num_workers));
     }
   }
   const size_t nu = ctx_.gd->num_vertices();
@@ -583,8 +552,7 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   if (!result.status.ok()) return result;
 
   const uint32_t n = config_.num_workers;
-  FaultInjector* injector = nullptr;
-  if constexpr (kFaultInjectionEnabled) injector = config_.faults;
+  FaultInjector* injector = config_.faults;
 
   const VertexPartition part =
       PartitionVertices(*ctx_.g, n, config_.strategy);
@@ -834,47 +802,45 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   std::vector<double> busy(n, 0.0);
   for (size_t round = start_round;; ++round) {
     // --- fault hook: host crash at the start of this superstep ---
-    if constexpr (kFaultInjectionEnabled) {
-      if (injector != nullptr && injector->plan().crash.has_value()) {
-        const CrashFault crash = *injector->plan().crash;
-        if (crash.superstep == round && alive[crash.worker]) {
-          // The host dies with everything it held in memory: its
-          // fragment's state and the messages routed into its inboxes at
-          // the end of the previous superstep.
-          const uint32_t victim = crash.worker;
-          alive[victim] = false;
-          injector->CountInjection();
-          ++result.stats.recoveries;
-          uint32_t sv = 0;
-          while (!alive[sv]) ++sv;
-          for (uint32_t f = 0; f < n; ++f) {
-            if (host_of[f] == victim) host_of[f] = sv;
-          }
-          // The dead host's counters still account for work it did.
-          SumWorkerStats(workers[victim]->engine.stats(), &result.stats);
-          // GRAPE-style data-parallel recovery: rebuild the lost fragment
-          // from its last superstep-boundary checkpoint, so the survivor
-          // re-executes exactly the computation the dead host would have
-          // run. A round-0 crash predates the first checkpoint; the
-          // fragment restarts from its job input (the candidate
-          // assignment), which is equally exact.
-          std::vector<uint8_t> lost(n, 0);
-          lost[victim] = 1;
-          cold_start(lost);
-          if (!checkpoints[victim].empty()) {
-            ByteReader r(checkpoints[victim]);
-            const Status st = LoadWorker(&r, workers[victim].get());
-            HER_CHECK(st.ok());  // self-encoded bytes always decode
-            workers[victim]->request_inbox.clear();
-            workers[victim]->invalid_inbox.clear();
-          }
-          dirty[victim] = 1;  // in-memory state diverged from its shard
-          // The in-flight messages that died in the victim's inboxes are
-          // re-derived from the surviving assumption sets before the
-          // superstep proceeds, so the restored fragment sees the same
-          // deliveries the fault-free run would have.
-          audit();
+    if (injector != nullptr && injector->plan().crash.has_value()) {
+      const CrashFault crash = *injector->plan().crash;
+      if (crash.superstep == round && alive[crash.worker]) {
+        // The host dies with everything it held in memory: its
+        // fragment's state and the messages routed into its inboxes at
+        // the end of the previous superstep.
+        const uint32_t victim = crash.worker;
+        alive[victim] = false;
+        injector->CountInjection();
+        ++result.stats.recoveries;
+        uint32_t sv = 0;
+        while (!alive[sv]) ++sv;
+        for (uint32_t f = 0; f < n; ++f) {
+          if (host_of[f] == victim) host_of[f] = sv;
         }
+        // The dead host's counters still account for work it did.
+        SumWorkerStats(workers[victim]->engine.stats(), &result.stats);
+        // GRAPE-style data-parallel recovery: rebuild the lost fragment
+        // from its last superstep-boundary checkpoint, so the survivor
+        // re-executes exactly the computation the dead host would have
+        // run. A round-0 crash predates the first checkpoint; the
+        // fragment restarts from its job input (the candidate
+        // assignment), which is equally exact.
+        std::vector<uint8_t> lost(n, 0);
+        lost[victim] = 1;
+        cold_start(lost);
+        if (!checkpoints[victim].empty()) {
+          ByteReader r(checkpoints[victim]);
+          const Status st = LoadWorker(&r, workers[victim].get());
+          HER_CHECK(st.ok());  // self-encoded bytes always decode
+          workers[victim]->request_inbox.clear();
+          workers[victim]->invalid_inbox.clear();
+        }
+        dirty[victim] = 1;  // in-memory state diverged from its shard
+        // The in-flight messages that died in the victim's inboxes are
+        // re-derived from the surviving assumption sets before the
+        // superstep proceeds, so the restored fragment sees the same
+        // deliveries the fault-free run would have.
+        audit();
       }
     }
 
@@ -946,19 +912,13 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     // is the crash story, handled by checkpoint recovery + audit.)
     auto deliveries = [&](FaultChannel channel, const MatchPair& p,
                           uint32_t from, uint32_t to) -> int {
-      if constexpr (kFaultInjectionEnabled) {
-        if (injector != nullptr) {
-          if (injector->DropMessage(channel, p, from, to)) {
-            ++result.stats.fault_retries;  // retransmitted, then delivered
-            return 1;
-          }
-          if (injector->DuplicateMessage(channel, p, from, to)) return 2;
+      if (injector != nullptr) {
+        if (injector->DropMessage(channel, p, from, to)) {
+          ++result.stats.fault_retries;  // retransmitted, then delivered
+          return 1;
         }
+        if (injector->DuplicateMessage(channel, p, from, to)) return 2;
       }
-      (void)channel;
-      (void)p;
-      (void)from;
-      (void)to;
       return 1;
     };
     bool any_message = false;
@@ -1120,15 +1080,16 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     result.max_worker_calls =
         std::max(result.max_worker_calls, s.para_match_calls);
   }
-  if constexpr (kFaultInjectionEnabled) {
-    if (injector != nullptr) {
-      result.stats.faults_injected = injector->injected();
-    }
-    if (const auto* flaky =
-            dynamic_cast<const FlakyVertexScorer*>(ctx_.hv)) {
-      result.stats.fault_retries += flaky->Retries();
-      result.stats.faults_injected += flaky->FaultedCalls();
-    }
+  // Every worker's engine sees the same shared scorers: read their
+  // telemetry once for the whole run instead of summing it.
+  ReadSharedTelemetry(ctx_, &result.stats);
+  if (injector != nullptr) {
+    result.stats.faults_injected = injector->injected();
+  }
+  if (const auto* flaky =
+          dynamic_cast<const FlakyVertexScorer*>(ctx_.hv)) {
+    result.stats.fault_retries += flaky->Retries();
+    result.stats.faults_injected += flaky->FaultedCalls();
   }
 
   result.partition.edge_cut_edges = part.edge_cut_edges;
@@ -1152,7 +1113,7 @@ ParallelResult BspAllMatch::Run(std::span<const VertexId> tuple_vertices,
                                 const RunOptions& options) {
   WallTimer gen_timer;
   std::vector<MatchPair> candidates =
-      GenerateCandidates(ScanContext(), tuple_vertices, index);
+      GenerateCandidates(ctx_, tuple_vertices, index);
   const double gen_seconds = gen_timer.Seconds();
   ParallelResult result = RunOnCandidates(std::move(candidates), options);
   if (result.status.ok()) {
@@ -1166,16 +1127,6 @@ ParallelResult BspAllMatch::RunVPair(VertexId u_t, const InvertedIndex* index,
                                      const RunOptions& options) {
   const VertexId roots[] = {u_t};
   return Run(roots, index, options);
-}
-
-MatchContext BspAllMatch::ScanContext() const {
-  // Shallow copy (borrowed pointers + the shared vertex-pool handle) with
-  // the run's candidate-generation override applied, if any.
-  MatchContext scan = ctx_;
-  if (config_.candidate_gen.has_value()) {
-    scan.candidate_gen = *config_.candidate_gen;
-  }
-  return scan;
 }
 
 }  // namespace her

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -65,15 +64,11 @@ struct ParallelConfig {
   /// the root tuple of u, which reproduces that placement (and is what
   /// makes APair scale: each u's ecache is computed on one worker only).
   std::function<uint32_t(const MatchPair&)> pair_owner;
-  /// Fault-injection schedule for this run (borrowed, may be null). Only
-  /// honored when the library is built with HER_FAULTS=ON.
+  /// Fault-injection schedule for this run (borrowed); null runs
+  /// fault-free.
   FaultInjector* faults = nullptr;
   /// Durable on-disk checkpoint/resume policy.
   CheckpointOptions checkpoint;
-  /// Overrides MatchContext::candidate_gen for the Run/RunVPair
-  /// candidate scan when set (nullopt keeps the context's config). Lets a
-  /// parallel run pick exact vs ANN without mutating the shared context.
-  std::optional<CandidateGenConfig> candidate_gen;
   /// Per-worker memory budget in bytes; 0 = unlimited. Sizes the engine's
   /// candidate-list memo cap and the wire-frame batch size from the
   /// budget (soft caps on the caches/batches the engine controls, not a
@@ -125,8 +120,8 @@ struct ParallelResult {
   /// Process-wide peak RSS (VmHWM) sampled at the end of the run; 0 where
   /// unsupported. A process-level watermark, not a per-run delta.
   size_t peak_rss_bytes = 0;
-  MatchEngine::Stats stats;        // summed over all workers (shared-scorer
-                                   // snapshot fields assigned, not summed)
+  MatchEngine::Stats stats;        // summed over all workers (shared fields
+                                   // read once, ReadSharedTelemetry)
   size_t max_worker_calls = 0;     // ParaMatch calls of the busiest worker
   /// True when CheckpointOptions::halt_after_supersteps stopped the run
   /// early (test/CI hook): `matches` is empty, the on-disk checkpoint
@@ -191,10 +186,6 @@ class BspAllMatch {
   /// Rejects invalid configurations/candidates before any worker state is
   /// built (see ParallelResult::status).
   Status Validate(std::span<const MatchPair> candidates) const;
-
-  /// The context the candidate scan runs under: ctx_ with the config's
-  /// candidate_gen override applied (a shallow, borrowed-pointer copy).
-  MatchContext ScanContext() const;
 
   const MatchContext& ctx_;
   ParallelConfig config_;

@@ -72,12 +72,6 @@ class EmbeddingVertexScorer : public VertexScorer {
 
   size_t dim() const { return dim_; }
 
-  /// Number of embedding rows held for `graph` (= that graph's vertex
-  /// count); the ANN index sizes itself from this.
-  size_t num_rows(int graph) const {
-    return dim_ == 0 ? 0 : matrix_[graph].size() / dim_;
-  }
-
  private:
   const float* Row(int graph, VertexId v) const {
     return matrix_[graph].data() + static_cast<size_t>(v) * dim_;

@@ -95,9 +95,6 @@ class FaultMatrixTest
           std::tuple<uint64_t, FaultKind, uint32_t>> {};
 
 TEST_P(FaultMatrixTest, RecoversToFaultFreePi) {
-  if constexpr (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "built with HER_FAULTS=OFF";
-  }
   const auto [base_seed, kind, workers] = GetParam();
   const uint64_t seed = base_seed + SeedOffset();
   auto [g1, g2] = RandomEntityGraphs(seed, 8);

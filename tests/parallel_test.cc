@@ -167,32 +167,42 @@ TEST(BspAllMatchTest, RepeatedRunsAreDeterministic) {
 TEST(BspAllMatchTest, SharedObjectTelemetryMatchesContext) {
   // The shared-scorer counters of a BSP run are snapshots of the objects
   // every worker engine reads through the context; each must equal a
-  // direct read of that object after the run.
+  // direct read of that object after the run. The crash run also folds a
+  // dead engine's per-engine counters into the aggregate mid-run.
   auto [g1, g2] = RandomEntityGraphs(7, 8);
   ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const CachingVertexScorer hv(h.hv.get());
-  const CachingPathScorer mrho(h.mrho.get());
-  MatchContext ctx = h.ctx;
-  ctx.hv = &hv;
-  ctx.mrho = &mrho;
   const auto roots = ItemRoots(h.g1);
-  const ParallelResult r = BspAllMatch(ctx, {.num_workers = 4}).Run(roots);
-  ASSERT_TRUE(r.status.ok());
-  const MatchEngine::Stats& s = r.stats;
-  EXPECT_GT(s.hv_batch_calls, 0u);
-  EXPECT_EQ(s.hv_batch_calls, hv.BatchCalls());
-  EXPECT_EQ(s.hv_cache_hits, hv.CacheHits());
-  EXPECT_EQ(s.hv_cache_evictions, hv.CacheEvictions());
-  EXPECT_EQ(s.hv_memo_load_factor, hv.MemoLoadFactor());
-  EXPECT_EQ(s.hrho_batch_calls, mrho.BatchCalls());
-  EXPECT_EQ(s.hrho_hash_rejects, mrho.HashRejects());
-  EXPECT_EQ(s.hrho_memo_load_factor, mrho.MemoLoadFactor());
-  EXPECT_EQ(s.memo_probe_batches, hv.ProbeBatches() + mrho.ProbeBatches());
-  EXPECT_EQ(s.memo_probe_len, hv.ProbeLen() + mrho.ProbeLen());
-  EXPECT_EQ(s.hr_batch_calls, h.hr->BatchCalls());
-  // Run times its own candidate scan.
-  EXPECT_EQ(s.candidate_gen_runs, 1u);
-  EXPECT_GT(s.candidate_gen_seconds, 0.0);
+  for (const bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash at superstep 1" : "fault-free");
+    const CachingVertexScorer hv(h.hv.get());
+    const CachingPathScorer mrho(h.mrho.get());
+    MatchContext ctx = h.ctx;
+    ctx.hv = &hv;
+    ctx.mrho = &mrho;
+    FaultPlan plan;
+    if (crash) plan.crash = CrashFault{.worker = 1, .superstep = 1};
+    FaultInjector injector(plan);
+    const ParallelResult r =
+        BspAllMatch(ctx, {.num_workers = 4, .faults = &injector}).Run(roots);
+    ASSERT_TRUE(r.status.ok());
+    ASSERT_GT(r.supersteps, 1u);  // the crash fires, not skipped
+    EXPECT_EQ(r.stats.recoveries, crash ? 1u : 0u);
+    const MatchEngine::Stats& s = r.stats;
+    EXPECT_GT(s.hv_batch_calls, 0u);
+    EXPECT_EQ(s.hv_batch_calls, hv.BatchCalls());
+    EXPECT_EQ(s.hv_cache_hits, hv.CacheHits());
+    EXPECT_EQ(s.hv_cache_evictions, hv.CacheEvictions());
+    EXPECT_EQ(s.hv_memo_load_factor, hv.MemoLoadFactor());
+    EXPECT_EQ(s.hrho_batch_calls, mrho.BatchCalls());
+    EXPECT_EQ(s.hrho_hash_rejects, mrho.HashRejects());
+    EXPECT_EQ(s.hrho_memo_load_factor, mrho.MemoLoadFactor());
+    EXPECT_EQ(s.memo_probe_batches, hv.ProbeBatches() + mrho.ProbeBatches());
+    EXPECT_EQ(s.memo_probe_len, hv.ProbeLen() + mrho.ProbeLen());
+    EXPECT_EQ(s.hr_batch_calls, h.hr->BatchCalls());
+    // Run times its own candidate scan.
+    EXPECT_EQ(s.candidate_gen_runs, 1u);
+    EXPECT_GT(s.candidate_gen_seconds, 0.0);
+  }
 }
 
 }  // namespace

@@ -646,88 +646,75 @@ TEST(WarmStartTest, CorruptSnapshotRebuildsCold) {
   EXPECT_EQ(healed.APair(), reference.APair());
 }
 
-// --- ANN index snapshot section -----------------------------------------
+// --- Snapshots written by older builds -----------------------------------
 
-HerConfig AnnModeConfig() {
-  HerConfig config;
-  config.candidate_gen.mode = CandidateMode::kAnn;
-  config.candidate_gen.nprobe = 4;
-  return config;
+/// Copies the remaining payload of a section reader into `w` byte for byte.
+void CopyPayload(ByteReader r, ByteWriter* w) {
+  while (!r.AtEnd()) {
+    uint8_t b = 0;
+    ASSERT_TRUE(r.GetU8(&b).ok());
+    w->PutU8(b);
+  }
 }
 
-TEST(WarmStartTest, AnnIndexSectionRoundTripsThroughSnapshot) {
+TEST(WarmStartTest, SnapshotWithRetiredAnnSectionStillWarmStarts) {
   DatasetSpec spec = UkgovSpec(/*seed=*/7);
   spec.num_entities = 30;
   const GeneratedDataset data = Generate(spec);
   const AnnotationSplit split = SplitAnnotations(data.annotations);
-  const std::string snap = TempPath("warm_ann.snap");
+  const std::string snap = TempPath("warm_retired_ann.snap");
   std::filesystem::remove(snap);
 
-  HerSystem cold(data.canonical, data.g, AnnModeConfig());
+  HerSystem cold(data.canonical, data.g, HerConfig{});
   cold.TrainOrLoad(snap, data.path_pairs, split.validation);
   ASSERT_TRUE(cold.trained());
-  ASSERT_NE(cold.ann_index(), nullptr);
   const auto cold_pi = cold.APair();
 
-  HerSystem warm(data.canonical, data.g, AnnModeConfig());
+  // Rewrite the snapshot the way builds with the IVF candidate mode laid
+  // it out: an "ann_index" section (dim, rows, digest, nlist, centroids,
+  // inverted lists) between "ptable" and "engine_state".
+  {
+    auto reader = SnapshotReader::Open(snap, cold.Fingerprint());
+    ASSERT_TRUE(reader.ok());
+    SnapshotWriter writer(cold.Fingerprint());
+    for (const char* name : {"models", "params", "ptable", "ann_index",
+                             "engine_state", "warm_caches"}) {
+      ByteWriter* w = writer.AddSection(name);
+      if (std::string(name) == "ann_index") {
+        w->PutVarint(4);
+        w->PutVarint(2);
+        w->PutVarint(0x5eedf00dULL);
+        w->PutVarint(1);
+        w->PutFloatVec({0.5f, 0.5f, 0.5f, 0.5f});
+        w->PutIntVec(std::vector<VertexId>{0, 1});
+        continue;
+      }
+      auto sec = reader->Section(name);
+      ASSERT_TRUE(sec.ok()) << name;
+      CopyPayload(sec.value(), w);
+    }
+    ASSERT_TRUE(writer.WriteToFile(snap).ok());
+  }
+  auto rewritten = SnapshotReader::Open(snap, cold.Fingerprint());
+  ASSERT_TRUE(rewritten.ok());
+  ASSERT_TRUE(rewritten->HasSection("ann_index"));
+
+  HerSystem warm(data.canonical, data.g, HerConfig{});
   warm.TrainOrLoad(snap, data.path_pairs, split.validation);
-  // Fully warm: no ptable build, and the restored index is structurally
-  // identical to the one the cold run built and saved.
+  ASSERT_TRUE(warm.trained());
+  // Fully warm: models and params restored (no training, no search), no
+  // property-table build, and the same Pi as the cold system.
   EXPECT_EQ(warm.engine().stats().ptable_build_seconds, 0.0);
-  ASSERT_NE(warm.ann_index(), nullptr);
-  EXPECT_TRUE(*warm.ann_index() == *cold.ann_index());
+  EXPECT_EQ(warm.train_seconds().total, 0.0);
+  EXPECT_EQ(warm.params().sigma, cold.params().sigma);
+  EXPECT_EQ(warm.params().delta, cold.params().delta);
+  EXPECT_EQ(warm.params().k, cold.params().k);
   EXPECT_EQ(warm.APair(), cold_pi);
-}
-
-TEST(WarmStartTest, MissingAnnSectionRebuildsJustTheIndex) {
-  DatasetSpec spec = UkgovSpec(/*seed=*/8);
-  spec.num_entities = 30;
-  const GeneratedDataset data = Generate(spec);
-  const AnnotationSplit split = SplitAnnotations(data.annotations);
-  const std::string snap = TempPath("warm_ann_missing.snap");
-  std::filesystem::remove(snap);
-
-  // The snapshot predates ANN mode: written by an exact-mode system, so
-  // it has no "ann_index" section.
-  HerSystem exact(data.canonical, data.g, HerConfig{});
-  exact.TrainOrLoad(snap, data.path_pairs, split.validation);
-  ASSERT_TRUE(std::filesystem::exists(snap));
-
-  // ANN-mode warm start: models/ptable/params restore warm (NotFound on
-  // the section only rebuilds the index).
-  HerSystem ann(data.canonical, data.g, AnnModeConfig());
-  ann.TrainOrLoad(snap, data.path_pairs, split.validation);
-  EXPECT_EQ(ann.engine().stats().ptable_build_seconds, 0.0);
-  ASSERT_NE(ann.ann_index(), nullptr);
-  EXPECT_GT(ann.ann_index()->num_lists(), 0u);
-
-  // The rebuild self-primed the snapshot: a third system restores the
-  // very same index without building.
-  HerSystem healed(data.canonical, data.g, AnnModeConfig());
-  healed.TrainOrLoad(snap, data.path_pairs, split.validation);
-  ASSERT_NE(healed.ann_index(), nullptr);
-  EXPECT_TRUE(*healed.ann_index() == *ann.ann_index());
-  EXPECT_EQ(healed.APair(), ann.APair());
-}
-
-TEST(WarmStartTest, CorruptSnapshotColdRebuildsAnnCleanly) {
-  DatasetSpec spec = UkgovSpec(/*seed=*/9);
-  spec.num_entities = 30;
-  const GeneratedDataset data = Generate(spec);
-  const AnnotationSplit split = SplitAnnotations(data.annotations);
-  const std::string snap = TempPath("warm_ann_corrupt.snap");
-  ASSERT_TRUE(AtomicWriteFile(snap, "garbage, not a snapshot").ok());
-
-  HerSystem sys(data.canonical, data.g, AnnModeConfig());
-  sys.TrainOrLoad(snap, data.path_pairs, split.validation);
-  ASSERT_TRUE(sys.trained());
-  ASSERT_NE(sys.ann_index(), nullptr);
-
-  HerSystem reference(data.canonical, data.g, AnnModeConfig());
-  reference.Train(data.path_pairs, split.validation);
-  ASSERT_NE(reference.ann_index(), nullptr);
-  EXPECT_TRUE(*sys.ann_index() == *reference.ann_index());
-  EXPECT_EQ(sys.APair(), reference.APair());
+  // Nothing was rebuilt, so TrainOrLoad did not re-save: the retired
+  // section is still on disk.
+  auto after = SnapshotReader::Open(snap, cold.Fingerprint());
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->HasSection("ann_index"));
 }
 
 }  // namespace

@@ -23,13 +23,6 @@
 //         --pi-out=FILE          write Pi as "u v" lines (atomic install)
 //         --kill-at-superstep=N  CI crash hook: SIGKILL the process after
 //                                N supersteps (checkpoint already on disk)
-//       Candidate generation:
-//         --candidate-mode=MODE  exact (default) scans every |T| x |V|
-//                                pair; ann probes the IVF index over the
-//                                h_v embeddings (sampled recall below the
-//                                floor falls back to exact per call)
-//         --nprobe=N             inverted lists scanned per ANN probe
-//                                (default 8)
 //       Scale:
 //         --partition=hash|edgecut  how G is fragmented across workers
 //                                   (edgecut = streaming LDG, cuts
@@ -61,19 +54,28 @@
 //         --verdicts-out=FILE    write post-drain SPair verdicts over the
 //                                annotation pairs (recovery-diff artifact)
 //
+// Numeric arguments are parsed strictly: a value that is not one in-range
+// number (trailing characters, a sign on a count, a size in MB whose byte
+// count overflows) is a usage error, never a silent 0.
+//
 // SIGINT/SIGTERM drain cleanly: serve stops admitting, flushes the queue,
 // writes a final checkpoint and exits 0; evaluate cancels the parallel
 // run cooperatively and reports the partial (sound) result.
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -114,7 +116,6 @@ int Usage() {
                "  her_cli evaluate <dir> [workers] [deadline-ms]\n"
                "      [--checkpoint-dir=DIR] [--checkpoint-every-supersteps=N]\n"
                "      [--resume] [--pi-out=FILE] [--kill-at-superstep=N]\n"
-               "      [--candidate-mode=exact|ann] [--nprobe=N]\n"
                "      [--partition=hash|edgecut] [--mem-budget-mb=N]\n"
                "  her_cli spair <dir> <relation> <tuple-key> <vertex-id>\n"
                "  her_cli vpair <dir> <relation> <tuple-key>\n"
@@ -133,6 +134,71 @@ int Usage() {
                "      [--faultfs-write-fail-prob=P] "
                "[--faultfs-read-fail-prob=P]\n");
   return 2;
+}
+
+/// Parses all of `text` as one number of type T: no leading or trailing
+/// characters, no sign on unsigned types, in range, finite for doubles.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// One command-line argument matched against "--<name>=VALUE" flags. Each
+/// matcher returns true when the argument is its flag and stores the
+/// value; a value that does not parse sets `bad` instead.
+struct FlagArg {
+  std::string_view arg;
+  bool bad = false;
+
+  std::optional<std::string_view> Value(std::string_view name) const {
+    if (arg.size() < name.size() + 3 || arg.substr(0, 2) != "--" ||
+        arg.substr(2, name.size()) != name || arg[name.size() + 2] != '=') {
+      return std::nullopt;
+    }
+    return arg.substr(name.size() + 3);
+  }
+
+  bool String(std::string_view name, std::string* out) {
+    const auto v = Value(name);
+    if (v) *out = std::string(*v);
+    return v.has_value();
+  }
+
+  template <typename T>
+  bool Number(std::string_view name, T* out) {
+    const auto v = Value(name);
+    if (v && !ParseNumber(*v, out)) bad = true;
+    return v.has_value();
+  }
+
+  /// A size given in MiB, stored in bytes; a byte count that overflows T
+  /// is rejected rather than wrapped (a wrapped 0 reads as "unlimited").
+  template <typename T>
+  bool Megabytes(std::string_view name, T* bytes) {
+    const auto v = Value(name);
+    T mb = 0;
+    if (v && ParseNumber(*v, &mb) &&
+        mb <= (std::numeric_limits<T>::max() >> 20)) {
+      *bytes = mb << 20;
+    } else if (v) {
+      bad = true;
+    }
+    return v.has_value();
+  }
+};
+
+int BadValue(std::string_view arg) {
+  std::fprintf(stderr, "invalid numeric value in '%.*s'\n",
+               static_cast<int>(arg.size()), arg.data());
+  return Usage();
 }
 
 int Fail(const Status& s) {
@@ -236,8 +302,10 @@ Result<TupleRef> FindTuple(const Database& db, const std::string& relation,
 
 int CmdGenerate(int argc, char** argv) {
   if (argc < 4) return Usage();
-  const int entities = argc > 4 ? std::atoi(argv[4]) : 0;
-  const uint64_t seed = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
+  int entities = 0;
+  uint64_t seed = 1;
+  if (argc > 4 && !ParseNumber(argv[4], &entities)) return BadValue(argv[4]);
+  if (argc > 5 && !ParseNumber(argv[5], &seed)) return BadValue(argv[5]);
   const auto spec = SpecFor(argv[2], entities, seed);
   if (!spec.ok()) return Fail(spec.status());
   const GeneratedDataset data = Generate(*spec);
@@ -257,31 +325,17 @@ int CmdEvaluate(int argc, char** argv) {
   HerConfig config;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--checkpoint-dir=", 0) == 0) {
-      ckpt.dir = a.substr(17);
-    } else if (a.rfind("--checkpoint-every-supersteps=", 0) == 0) {
-      ckpt.every_supersteps = std::strtoull(a.c_str() + 30, nullptr, 10);
+    FlagArg f{a};
+    std::string strategy;
+    if (f.String("checkpoint-dir", &ckpt.dir) ||
+        f.Number("checkpoint-every-supersteps", &ckpt.every_supersteps) ||
+        f.String("pi-out", &pi_out) ||
+        f.Number("kill-at-superstep", &ckpt.halt_after_supersteps) ||
+        f.Megabytes("mem-budget-mb", &config.worker_mem_budget_bytes)) {
+      if (f.bad) return BadValue(a);
     } else if (a == "--resume") {
       ckpt.resume = true;
-    } else if (a.rfind("--pi-out=", 0) == 0) {
-      pi_out = a.substr(9);
-    } else if (a.rfind("--kill-at-superstep=", 0) == 0) {
-      ckpt.halt_after_supersteps = std::strtoull(a.c_str() + 20, nullptr, 10);
-    } else if (a.rfind("--candidate-mode=", 0) == 0) {
-      const std::string mode = a.substr(17);
-      if (mode == "exact") {
-        config.candidate_gen.mode = CandidateMode::kExact;
-      } else if (mode == "ann") {
-        config.candidate_gen.mode = CandidateMode::kAnn;
-      } else {
-        std::fprintf(stderr, "unknown candidate mode '%s'\n", mode.c_str());
-        return Usage();
-      }
-    } else if (a.rfind("--nprobe=", 0) == 0) {
-      config.candidate_gen.nprobe =
-          std::max<size_t>(1, std::strtoull(a.c_str() + 9, nullptr, 10));
-    } else if (a.rfind("--partition=", 0) == 0) {
-      const std::string strategy = a.substr(12);
+    } else if (f.String("partition", &strategy)) {
       if (strategy == "hash") {
         config.partition = PartitionStrategy::kHash;
       } else if (strategy == "edgecut") {
@@ -291,9 +345,6 @@ int CmdEvaluate(int argc, char** argv) {
                      strategy.c_str());
         return Usage();
       }
-    } else if (a.rfind("--mem-budget-mb=", 0) == 0) {
-      config.worker_mem_budget_bytes =
-          std::strtoull(a.c_str() + 16, nullptr, 10) << 20;
     } else if (a.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
       return Usage();
@@ -307,10 +358,16 @@ int CmdEvaluate(int argc, char** argv) {
                  "--resume/--kill-at-superstep need --checkpoint-dir\n");
     return Usage();
   }
+  uint32_t workers = 4;
+  long deadline_ms = 0;
+  if (pos.size() > 1 && !ParseNumber(pos[1], &workers)) {
+    return BadValue(pos[1]);
+  }
+  if (pos.size() > 2 && !ParseNumber(pos[2], &deadline_ms)) {
+    return BadValue(pos[2]);
+  }
   // The fragment partitioner divides by the worker count; clamp 0 to 1.
-  const uint32_t workers =
-      pos.size() > 1 ? std::max(1, std::atoi(pos[1].c_str())) : 4;
-  const long deadline_ms = pos.size() > 2 ? std::atol(pos[2].c_str()) : 0;
+  workers = std::max<uint32_t>(1, workers);
 
   std::string model_snapshot;
   if (!ckpt.dir.empty()) {
@@ -363,13 +420,6 @@ int CmdEvaluate(int argc, char** argv) {
               r.partition.border_vertices,
               r.partition.max_fragment_imbalance, r.message_bytes_wire,
               r.message_bytes_raw, r.peak_rss_bytes >> 20);
-  if (config.candidate_gen.mode == CandidateMode::kAnn) {
-    std::printf("ann: build %.3fs, %zu probes over %zu lists, recall %.4f, "
-                "%zu exact fallback(s)\n",
-                r.stats.ann_build_seconds, r.stats.ann_probes,
-                r.stats.ann_lists_scanned, r.stats.ann_recall,
-                r.stats.ann_fallbacks);
-  }
   if (r.resumed_from_checkpoint) {
     std::printf("resumed from checkpoint (%zu durable checkpoint(s) "
                 "written this run)\n", r.stats.disk_checkpoints);
@@ -405,7 +455,8 @@ int CmdSpair(int argc, char** argv) {
   if (!loaded.ok()) return Fail(loaded.status());
   const auto t = FindTuple(loaded->data->db, argv[3], argv[4]);
   if (!t.ok()) return Fail(t.status());
-  const VertexId v = static_cast<VertexId>(std::atoi(argv[5]));
+  VertexId v = 0;
+  if (!ParseNumber(argv[5], &v)) return BadValue(argv[5]);
   if (v >= loaded->data->g.num_vertices()) {
     return Fail(Status::OutOfRange("vertex id out of range"));
   }
@@ -540,68 +591,43 @@ int CmdServe(int argc, char** argv) {
   bool faultfs_enabled = false;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--ops=", 0) == 0) {
-      ops_count = std::strtoull(a.c_str() + 6, nullptr, 10);
-    } else if (a.rfind("--qps=", 0) == 0) {
-      qps = std::strtod(a.c_str() + 6, nullptr);
-    } else if (a.rfind("--write-ratio=", 0) == 0) {
-      write_ratio = std::strtod(a.c_str() + 14, nullptr);
-    } else if (a.rfind("--deadline-ms=", 0) == 0) {
-      deadline_ms = std::atol(a.c_str() + 14);
-    } else if (a.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-    } else if (a.rfind("--apply-batch=", 0) == 0) {
-      config.apply_batch =
-          std::max<size_t>(1, std::strtoull(a.c_str() + 14, nullptr, 10));
-    } else if (a.rfind("--queue-soft-limit=", 0) == 0) {
-      config.queue_soft_limit = std::strtoull(a.c_str() + 19, nullptr, 10);
-    } else if (a.rfind("--queue-hard-limit=", 0) == 0) {
-      config.queue_hard_limit = std::strtoull(a.c_str() + 19, nullptr, 10);
-    } else if (a.rfind("--maintenance-deadline-ms=", 0) == 0) {
-      config.maintenance_deadline =
-          std::chrono::milliseconds(std::atol(a.c_str() + 26));
-    } else if (a.rfind("--checkpoint-every=", 0) == 0) {
-      config.checkpoint_every = std::strtoull(a.c_str() + 19, nullptr, 10);
-    } else if (a.rfind("--fault-seed=", 0) == 0) {
-      config.fault_seed = std::strtoull(a.c_str() + 13, nullptr, 10);
-    } else if (a.rfind("--apply-fail-prob=", 0) == 0) {
-      config.apply_fail_prob = std::strtod(a.c_str() + 18, nullptr);
-    } else if (a.rfind("--poison-prob=", 0) == 0) {
-      config.poison_prob = std::strtod(a.c_str() + 14, nullptr);
-    } else if (a.rfind("--kill-at-op=", 0) == 0) {
-      kill_at_op = std::strtoull(a.c_str() + 13, nullptr, 10);
-    } else if (a.rfind("--faultfs-seed=", 0) == 0) {
-      faultfs_plan.seed = std::strtoull(a.c_str() + 15, nullptr, 10);
-      faultfs_enabled = true;
-    } else if (a.rfind("--faultfs-enospc-after-mb=", 0) == 0) {
-      faultfs_plan.enospc_after_bytes =
-          std::strtoull(a.c_str() + 26, nullptr, 10) * (1ull << 20);
-      faultfs_enabled = true;
-    } else if (a.rfind("--faultfs-fail-at-op=", 0) == 0) {
-      faultfs_plan.fail_at_op = std::strtoull(a.c_str() + 21, nullptr, 10);
-      faultfs_enabled = true;
-    } else if (a.rfind("--faultfs-fail-op-count=", 0) == 0) {
-      faultfs_plan.fail_op_count =
-          std::strtoull(a.c_str() + 24, nullptr, 10);
-      faultfs_enabled = true;
-    } else if (a.rfind("--faultfs-fail-kind=", 0) == 0) {
-      auto kind = ParseFaultKind(a.substr(20));
+    FlagArg f{a};
+    long maintenance_ms = 0;
+    std::string fail_kind;
+    if (a.rfind("--faultfs-", 0) == 0) faultfs_enabled = true;
+    if (f.Number("maintenance-deadline-ms", &maintenance_ms)) {
+      if (f.bad) return BadValue(a);
+      config.maintenance_deadline = std::chrono::milliseconds(maintenance_ms);
+    } else if (f.Number("ops", &ops_count) || f.Number("qps", &qps) ||
+               f.Number("write-ratio", &write_ratio) ||
+               f.Number("deadline-ms", &deadline_ms) ||
+               f.Number("seed", &seed) ||
+               f.Number("apply-batch", &config.apply_batch) ||
+               f.Number("queue-soft-limit", &config.queue_soft_limit) ||
+               f.Number("queue-hard-limit", &config.queue_hard_limit) ||
+               f.Number("checkpoint-every", &config.checkpoint_every) ||
+               f.Number("fault-seed", &config.fault_seed) ||
+               f.Number("apply-fail-prob", &config.apply_fail_prob) ||
+               f.Number("poison-prob", &config.poison_prob) ||
+               f.Number("kill-at-op", &kill_at_op) ||
+               f.Number("faultfs-seed", &faultfs_plan.seed) ||
+               f.Megabytes("faultfs-enospc-after-mb",
+                           &faultfs_plan.enospc_after_bytes) ||
+               f.Number("faultfs-fail-at-op", &faultfs_plan.fail_at_op) ||
+               f.Number("faultfs-fail-op-count",
+                        &faultfs_plan.fail_op_count) ||
+               f.Number("faultfs-write-fail-prob",
+                        &faultfs_plan.write_fail_prob) ||
+               f.Number("faultfs-read-fail-prob",
+                        &faultfs_plan.read_fail_prob) ||
+               f.String("faultfs-path-filter", &faultfs_plan.path_filter) ||
+               f.String("bench-out", &bench_out) ||
+               f.String("verdicts-out", &verdicts_out)) {
+      if (f.bad) return BadValue(a);
+    } else if (f.String("faultfs-fail-kind", &fail_kind)) {
+      auto kind = ParseFaultKind(fail_kind);
       if (!kind.ok()) return Fail(kind.status());
       faultfs_plan.fail_kind = *kind;
-      faultfs_enabled = true;
-    } else if (a.rfind("--faultfs-path-filter=", 0) == 0) {
-      faultfs_plan.path_filter = a.substr(22);
-      faultfs_enabled = true;
-    } else if (a.rfind("--faultfs-write-fail-prob=", 0) == 0) {
-      faultfs_plan.write_fail_prob = std::strtod(a.c_str() + 26, nullptr);
-      faultfs_enabled = true;
-    } else if (a.rfind("--faultfs-read-fail-prob=", 0) == 0) {
-      faultfs_plan.read_fail_prob = std::strtod(a.c_str() + 25, nullptr);
-      faultfs_enabled = true;
-    } else if (a.rfind("--bench-out=", 0) == 0) {
-      bench_out = a.substr(12);
-    } else if (a.rfind("--verdicts-out=", 0) == 0) {
-      verdicts_out = a.substr(15);
     } else if (a.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
       return Usage();
@@ -610,6 +636,7 @@ int CmdServe(int argc, char** argv) {
     }
   }
   if (pos.size() < 2) return Usage();
+  config.apply_batch = std::max<size_t>(1, config.apply_batch);
 
   auto data_or = LoadDataset(pos[0]);
   if (!data_or.ok()) return Fail(data_or.status());

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Builds Release and runs the hot-path benchmarks: bench_micro (h_v /
 # M_rho / h_r / ParaMatch primitives), bench_candidates (serial-scalar vs
-# batched h_v comparison -> BENCH_candidates.json), bench_ann (exact
-# sigma scan vs IVF-probed candidate generation -> BENCH_ann.json),
+# batched h_v comparison -> BENCH_candidates.json),
 # bench_hrho (scalar vs batched h_rho kernel -> BENCH_hrho.json),
 # bench_hr (scalar vs lockstep h_r PropertyTable build -> BENCH_hr.json)
 # bench_memo (unordered_map vs prefetch-pipelined flat-table memo
@@ -17,7 +16,7 @@ BUILD_DIR="${1:-build}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j --target bench_micro bench_candidates \
-  bench_ann bench_hrho bench_hr bench_memo bench_scale her_cli
+  bench_hrho bench_hr bench_memo bench_scale her_cli
 
 echo "=== bench_micro ==="
 # Note: this benchmark library wants a bare double (no "s" suffix).
@@ -35,19 +34,6 @@ echo "=== bench_candidates ==="
   fi
 }
 echo "wrote $(pwd)/BENCH_candidates.json"
-
-echo "=== bench_ann ==="
-# Exit code 2 means the IVF candidate-generation target (>= 3x at
-# recall >= 0.99) was missed; still keep the JSON for inspection.
-"$BUILD_DIR/bench/bench_ann" BENCH_ann.json || {
-  rc=$?
-  if [ "$rc" -eq 2 ]; then
-    echo "WARNING: IVF candidate generation below 3x at 0.99 recall" >&2
-  else
-    exit "$rc"
-  fi
-}
-echo "wrote $(pwd)/BENCH_ann.json"
 
 echo "=== bench_hrho ==="
 # Exit code 2 means the batched h_rho speedup target (>= 2x) was missed;

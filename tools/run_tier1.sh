@@ -5,9 +5,7 @@
 # (asan/ubsan) — the fault-injection matrix, whose crash recovery decodes
 # checkpoint-shard bytes, plus the batched-kernel bit-identity tests
 # (StepProbBatch, the LSTM trainer vs its reference, TopKBatch,
-# PropertyTable build determinism) and the ANN
-# candidate-generation suite (IVF probe parity, sampled-recall fallback)
-# under the same sanitizer.
+# PropertyTable build determinism) under the same sanitizer.
 # Usage: tools/run_tier1.sh [sanitizer] [build-dir] [san-build-dir]
 #   sanitizer: tsan (default) | asan | ubsan | none
 set -euo pipefail
@@ -37,7 +35,7 @@ if [ -n "$HER_SANITIZE" ]; then
   cmake -B "$SAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DHER_SANITIZE="$HER_SANITIZE"
   cmake --build "$SAN_DIR" -j --target parallel_driver_test ml_test \
-    sim_test property_test persist_test ann_test flat_table_test \
+    sim_test property_test persist_test flat_table_test \
     partition_test serve_test fault_tolerance_test
   "$SAN_DIR/tests/parallel_driver_test"
   # Crash/drop/dup/flaky matrix: every injected crash restores a fragment
@@ -49,7 +47,6 @@ if [ -n "$HER_SANITIZE" ]; then
   # Flat-table oracle + concurrent sharded-memo stress (the TSan target
   # for the open-addressing memo tables).
   "$SAN_DIR/tests/flat_table_test"
-  "$SAN_DIR/tests/ann_test"
   # The LSTM trainer's packed kernels against the reference trainer, and
   # the snapshot decoder's shape checks.
   "$SAN_DIR/tests/ml_test" \
