@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "common/flat_table.h"
 #include "common/rng.h"
+#include "learn/trainer.h"
 
 namespace {
 
@@ -285,27 +287,48 @@ void BM_RankerTopKBatch(benchmark::State& state) {
 BENCHMARK(BM_RankerTopKBatch)->Arg(16)->Arg(64);
 
 void BM_LstmTrain(benchmark::State& state) {
-  // One epoch of M_r training on a fixed synthetic corpus shaped like a
-  // cold ukgov link job: 2,000 sequences of 1-5 tokens over 60 tokens.
-  // Per sequence the trainer runs BPTT plus a clip-norm and Adagrad pass
-  // over all ~18k parameters, so the counter is sequences per second.
-  constexpr size_t kVocab = 60;
-  Rng rng(13);
-  std::vector<std::vector<int>> corpus(2000);
-  for (auto& seq : corpus) {
-    seq.resize(1 + rng.Below(5));
-    for (int& tok : seq) tok = static_cast<int>(rng.Below(kVocab));
+  // A full default M_r training run on the corpus a cold ukgov-120 link
+  // job trains on (seed 1): max-PRA paths of G, then of G_D, collected as
+  // TrainModels collects them. Such corpora repeat a few dozen distinct
+  // paths thousands of times, and a training pass costs one LSTM step per
+  // trie node (distinct prefix), not per sequence.
+  struct Corpus {
+    std::vector<std::vector<int>> sequences;
+    size_t vocab_size = 0;
+  };
+  static const Corpus* corpus = [] {
+    DatasetSpec spec = UkgovSpec(1);
+    spec.num_entities = 120;
+    const GeneratedDataset data = Generate(spec);
+    const Graph& gd = data.canonical.graph();
+    const JointVocab vocab(gd, data.g);
+    const LearnConfig cfg;
+    Rng rng(cfg.seed);
+    auto* out = new Corpus{{}, vocab.size_with_eos()};
+    CollectLstmPaths(data.g, 1, vocab, cfg.lstm_path_len, cfg.max_lstm_paths,
+                     cfg.lstm_min_pra, rng, out->sequences);
+    CollectLstmPaths(gd, 0, vocab, cfg.lstm_path_len, cfg.max_lstm_paths / 2,
+                     cfg.lstm_min_pra, rng, out->sequences);
+    return out;
+  }();
+  const auto& sequences = corpus->sequences;
+  std::set<std::vector<int>> distinct(sequences.begin(), sequences.end());
+  std::set<std::vector<int>> prefixes;
+  for (const auto& seq : distinct) {
+    for (size_t len = 0; len < seq.size(); ++len) {
+      prefixes.emplace(seq.begin(), seq.begin() + static_cast<long>(len));
+    }
   }
-  LstmConfig cfg;
-  cfg.epochs = 1;
   for (auto _ : state) {
     LstmLm lm;
-    lm.Train(corpus, kVocab, cfg);
+    lm.Train(sequences, corpus->vocab_size, LstmConfig{});
     benchmark::DoNotOptimize(lm);
   }
   state.counters["sequences_per_s"] = benchmark::Counter(
-      static_cast<double>(corpus.size() * state.iterations()),
+      static_cast<double>(sequences.size() * state.iterations()),
       benchmark::Counter::kIsRate);
+  state.counters["distinct"] = static_cast<double>(distinct.size());
+  state.counters["trie_nodes"] = static_cast<double>(prefixes.size());
 }
 BENCHMARK(BM_LstmTrain)->Unit(benchmark::kMillisecond);
 

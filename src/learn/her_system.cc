@@ -84,22 +84,28 @@ void HerSystem::RebuildScorers() {
 
 void HerSystem::Train(std::span<const PathPairExample> path_pairs,
                       std::span<const Annotation> validation) {
+  const WallTimer total;
   training_pairs_.assign(path_pairs.begin(), path_pairs.end());
   models_ = TrainModels(canonical_->graph(), *g_, path_pairs, config_.learn);
   RebuildScorers();
   // Materialize h_r for every vertex (Section IV runs h_r as part of
   // Learn); the BSP workers then share it read-only like the graphs.
+  WallTimer phase;
   properties_ = std::make_unique<PropertyTable>(PropertyTable::Build(
       canonical_->graph(), *g_, *hr_, *models_.vocab, /*threads=*/4,
       mrho_.get()));
+  models_.seconds.ptable = phase.Seconds();
   ctx_.properties = properties_.get();
   engine_ = std::make_unique<MatchEngine>(ctx_);
   trained_ = true;
   if (config_.tune_params && !validation.empty()) {
+    phase.Restart();
     const RandomSearchResult tuned =
         RandomSearchParams(ctx_, validation, config_.search);
     SetParams(tuned.best);
+    models_.seconds.search = phase.Seconds();
   }
+  models_.seconds.total = total.Seconds();
 }
 
 uint64_t HerSystem::Fingerprint() const {
@@ -248,9 +254,12 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
     }
   }
   if (!warm_ptable) {
+    const WallTimer t;
     properties_ = std::make_unique<PropertyTable>(PropertyTable::Build(
         canonical_->graph(), *g_, *hr_, *models_.vocab, /*threads=*/4,
         mrho_.get()));
+    models_.seconds.ptable = t.Seconds();
+    models_.seconds.total += models_.seconds.ptable;
   }
   ctx_.properties = properties_.get();
   engine_ = std::make_unique<MatchEngine>(ctx_);
@@ -285,9 +294,12 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
     }
   }
   if (!warm_params && config_.tune_params && !validation.empty()) {
+    const WallTimer t;
     const RandomSearchResult tuned =
         RandomSearchParams(ctx_, validation, config_.search);
     SetParams(tuned.best);
+    models_.seconds.search = t.Seconds();
+    models_.seconds.total += models_.seconds.search;
   }
 
   // Layer 2: the engine's verdict cache and warm score caches. Bound to

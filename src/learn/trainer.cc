@@ -34,16 +34,12 @@ void CollectWalks(const Graph& g, int graph_index, const JointVocab& vocab,
   }
 }
 
-/// Training sequences for M_r: per vertex, the maximum-PRA path to each
-/// descendant, as joint tokens terminated by <eos> (Section IV, Training).
-/// Paths whose PRA falls below `min_pra` are truncated at the last strong
-/// prefix instead of dropped: the LM then learns to emit <eos> where the
-/// association weakens — the paper's Example 6 behaviour (stop before
-/// high-fanout vertices whose descendants "diverge and weaken the
-/// semantic association").
+}  // namespace
+
 void CollectLstmPaths(const Graph& g, int graph_index, const JointVocab& vocab,
                       size_t max_len, size_t max_paths, double min_pra,
-                      Rng& rng, std::vector<std::vector<int>>& out) {
+                      Rng& rng, std::vector<std::vector<int>>& out,
+                      std::vector<VertexId>* sources) {
   std::vector<VertexId> order(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) order[v] = v;
   rng.Shuffle(order);  // "clustering and inspecting representative entities"
@@ -56,11 +52,10 @@ void CollectLstmPaths(const Graph& g, int graph_index, const JointVocab& vocab,
       std::vector<int> seq = vocab.MapPath(graph_index, p.path.labels);
       seq.push_back(vocab.eos());
       out.push_back(std::move(seq));
+      if (sources != nullptr) sources->push_back(v);
     }
   }
 }
-
-}  // namespace
 
 std::vector<int> TokensForPath(const JointVocab& vocab,
                                std::span<const std::string> labels) {

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "datagen/dataset.h"
 #include "ml/lstm.h"
 #include "ml/mlp.h"
@@ -46,14 +47,19 @@ struct LearnConfig {
   uint64_t seed = 42;
 };
 
-/// Wall seconds TrainModels spent, in total and per model. A model that
-/// was not trained (LSTM off, no LSTM sequences) reports 0, and so do
-/// models restored from a snapshot.
+/// Wall seconds of cold training, in total and per phase. TrainModels
+/// fills the model phases, HerSystem the property table and the random
+/// search. A phase that did not run (LSTM off, no LSTM sequences, no
+/// tuning) reports 0, and so does one restored from a snapshot.
 struct TrainPhaseSeconds {
   double sgns = 0.0;    // edge-label embedding pre-training (walks + SGNS)
   double metric = 0.0;  // metric MLP M_rho (features + BCE epochs)
   double lstm = 0.0;    // LSTM M_r (path collection + training)
-  double total = 0.0;   // the whole TrainModels call
+  double ptable = 0.0;  // HerSystem: PropertyTable::Build (h_r per vertex)
+  double search = 0.0;  // HerSystem: cold random search of (sigma, delta, k)
+  /// The whole TrainModels call; HerSystem::Train widens it to the whole
+  /// Train call, and TrainOrLoad adds its cold ptable and search.
+  double total = 0.0;
 };
 
 /// The learned parameter functions, ready to wire into a MatchContext.
@@ -90,6 +96,20 @@ void FineTuneMetric(Mlp& metric, const SgnsModel& sgns, const JointVocab& vocab,
                     std::span<const PathPairExample> fn_evidence,
                     std::span<const PathPairExample> replay,
                     int epochs, double triplet_margin);
+
+/// Appends M_r's training sequences from graph `g` (joint-vocab side
+/// `graph_index`) to `out` until it holds `max_paths`: per vertex, in an
+/// order shuffled by `rng`, the maximum-PRA path to each descendant, as
+/// joint tokens terminated by <eos> (Section IV, Training). Paths with PRA
+/// below `min_pra` are skipped; the LM then learns to emit <eos> where the
+/// association weakens — the paper's Example 6 behaviour (stop before
+/// high-fanout vertices whose descendants "diverge and weaken the
+/// semantic association"). `sources`, when given, receives each appended
+/// sequence's start vertex.
+void CollectLstmPaths(const Graph& g, int graph_index, const JointVocab& vocab,
+                      size_t max_len, size_t max_paths, double min_pra,
+                      Rng& rng, std::vector<std::vector<int>>& out,
+                      std::vector<VertexId>* sources = nullptr);
 
 /// Maps a label-string path to joint tokens, skipping unknown labels.
 std::vector<int> TokensForPath(const JointVocab& vocab,

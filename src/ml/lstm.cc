@@ -35,12 +35,12 @@ constexpr size_t kLanes = 8;
 typedef double Vd2 __attribute__((vector_size(16)));
 #endif
 
-// Row-chain width of the training kernels. A row reduction (a gate or
-// output pre-activation, a row's squared norm) is one dependent chain of
-// double adds, so a single row runs at FP-add latency; reducing 8 rows at
-// once keeps 8 independent chains in flight. Each row still owns its
-// accumulator and adds its terms in ascending index order, so every row
-// sum is bit-identical to the one-row-at-a-time loop.
+// Row-chain width of the forward step. A row reduction (a gate or output
+// pre-activation) is one dependent chain of double adds, so a single row
+// runs at FP-add latency; reducing 8 rows at once keeps 8 independent
+// chains in flight. Each row still owns its accumulator and adds its terms
+// in ascending index order, so every row sum is bit-identical to the
+// one-row-at-a-time loop (and StepProb to StepProbBatch).
 constexpr size_t kRowChains = 8;
 
 // Calls fn(r0, std::integral_constant<size_t, N>{}) over the rows
@@ -55,12 +55,11 @@ void ForRowBlocks(size_t rows, Fn&& fn) {
   for (; r < rows; ++r) fn(r, std::integral_constant<size_t, 1>{});
 }
 
-// s[r] += sum_i double(w[r * stride + i]) * double(m) over i < n for the N
-// rows starting at w, where m is in[i], or with kSquare the weight itself
-// (Dot(row, row)). One chain per row in ascending i. The SSE2 path holds
-// rows 2p and 2p+1 in the two lanes of one register; a lane does exactly
-// the scalar multiply and add, so the sums are bit-identical.
-template <size_t N, bool kSquare>
+// s[r] += sum_i double(w[r * stride + i]) * double(in[i]) over i < n for
+// the N rows starting at w. One chain per row in ascending i. The SSE2
+// path holds rows 2p and 2p+1 in the two lanes of one register; a lane
+// does exactly the scalar multiply and add, so the sums are bit-identical.
+template <size_t N>
 inline void RowChains(const float* w, size_t stride, const float* in,
                       size_t n, double* s) {
   size_t i = 0;
@@ -70,16 +69,12 @@ inline void RowChains(const float* w, size_t stride, const float* in,
     __m128d acc[P];
     for (size_t p = 0; p < P; ++p) acc[p] = _mm_set_pd(s[2 * p + 1], s[2 * p]);
     for (; i + 4 <= n; i += 4) {
-      __m128d x[4];
-      if constexpr (!kSquare) {
-        const __m128 xv = _mm_loadu_ps(in + i);
-        const __m128d x01 = _mm_cvtps_pd(xv);
-        const __m128d x23 = _mm_cvtps_pd(_mm_movehl_ps(xv, xv));
-        x[0] = _mm_unpacklo_pd(x01, x01);
-        x[1] = _mm_unpackhi_pd(x01, x01);
-        x[2] = _mm_unpacklo_pd(x23, x23);
-        x[3] = _mm_unpackhi_pd(x23, x23);
-      }
+      const __m128 xv = _mm_loadu_ps(in + i);
+      const __m128d x01 = _mm_cvtps_pd(xv);
+      const __m128d x23 = _mm_cvtps_pd(_mm_movehl_ps(xv, xv));
+      const __m128d x[4] = {
+          _mm_unpacklo_pd(x01, x01), _mm_unpackhi_pd(x01, x01),
+          _mm_unpacklo_pd(x23, x23), _mm_unpackhi_pd(x23, x23)};
       for (size_t p = 0; p < P; ++p) {
         const __m128 va = _mm_loadu_ps(w + 2 * p * stride + i);
         const __m128 vb = _mm_loadu_ps(w + (2 * p + 1) * stride + i);
@@ -90,11 +85,7 @@ inline void RowChains(const float* w, size_t stride, const float* in,
                               _mm_cvtps_pd(hi),
                               _mm_cvtps_pd(_mm_movehl_ps(hi, hi))};
         for (size_t k = 0; k < 4; ++k) {
-          if constexpr (kSquare) {
-            acc[p] = _mm_add_pd(acc[p], _mm_mul_pd(c[k], c[k]));
-          } else {
-            acc[p] = _mm_add_pd(acc[p], _mm_mul_pd(c[k], x[k]));
-          }
+          acc[p] = _mm_add_pd(acc[p], _mm_mul_pd(c[k], x[k]));
         }
       }
     }
@@ -106,26 +97,9 @@ inline void RowChains(const float* w, size_t stride, const float* in,
 #endif
   for (; i < n; ++i) {
     for (size_t r = 0; r < N; ++r) {
-      const double v = w[r * stride + i];
-      if constexpr (kSquare) {
-        s[r] += v * v;
-      } else {
-        s[r] += v * static_cast<double>(in[i]);
-      }
+      s[r] += static_cast<double>(w[r * stride + i]) * in[i];
     }
   }
-}
-
-// norm2 += Dot(row, row) for each row of a [rows][cols] arena, rows
-// added in order; the per-row dots run kRowChains rows at a time.
-double AddRowNorms(const float* g, size_t rows, size_t cols, double norm2) {
-  ForRowBlocks(rows, [&](size_t r0, auto chains) {
-    constexpr size_t N = decltype(chains)::value;
-    double s[N] = {};
-    RowChains<N, true>(g + r0 * cols, cols, nullptr, cols, s);
-    for (size_t r = 0; r < N; ++r) norm2 += s[r];
-  });
-  return norm2;
 }
 
 // dw[i] += dz * in[i] and dacc[i] += dz * w[i] over i < n. A product of
@@ -140,54 +114,12 @@ inline void AddOuterRow(float dz, const float* __restrict in,
   }
 }
 
-// The per-sequence Adagrad step over n parameters, fused with zeroing the
-// gradient for the next sequence:
-//   gi = g * scale; if gi != 0: g2 += float(gi^2),
-//                               w -= float(lr * gi / (sqrtf(g2) + 1e-6)).
-// The packed path computes 4 floats / 2 doubles per SSE2 op. IEEE sqrt,
-// division and the float<->double conversions are correctly rounded, so
-// every lane equals the scalar result bit for bit. Lanes with gi == 0 keep
-// their old bits through a mask rather than through arithmetic (w - 0.0
-// would turn a -0.0 weight into +0.0).
+// One Adagrad step over n parameters, fused with zeroing the gradient
+// for the next pass. A slot whose scaled gradient is exactly zero keeps
+// its weight and accumulator bits.
 void AdagradStep(float* w, float* g2, float* g, size_t n, double scale,
                  double lr) {
-  size_t i = 0;
-#if defined(__SSE2__)
-  const __m128d vscale = _mm_set1_pd(scale);
-  const __m128d vlr = _mm_set1_pd(lr);
-  const __m128d veps = _mm_set1_pd(1e-6);
-  const __m128d zero = _mm_setzero_pd();
-  for (; i + 4 <= n; i += 4) {
-    const __m128 gf = _mm_loadu_ps(g + i);
-    const __m128d glo = _mm_mul_pd(_mm_cvtps_pd(gf), vscale);
-    const __m128d ghi = _mm_mul_pd(_mm_cvtps_pd(_mm_movehl_ps(gf, gf)), vscale);
-    const __m128 sq = _mm_movelh_ps(_mm_cvtpd_ps(_mm_mul_pd(glo, glo)),
-                                    _mm_cvtpd_ps(_mm_mul_pd(ghi, ghi)));
-    const __m128 g2_old = _mm_loadu_ps(g2 + i);
-    const __m128 g2_new = _mm_add_ps(g2_old, sq);
-    const __m128 root = _mm_sqrt_ps(g2_new);
-    const __m128d dlo = _mm_add_pd(_mm_cvtps_pd(root), veps);
-    const __m128d dhi =
-        _mm_add_pd(_mm_cvtps_pd(_mm_movehl_ps(root, root)), veps);
-    const __m128 step =
-        _mm_movelh_ps(_mm_cvtpd_ps(_mm_div_pd(_mm_mul_pd(vlr, glo), dlo)),
-                      _mm_cvtpd_ps(_mm_div_pd(_mm_mul_pd(vlr, ghi), dhi)));
-    const __m128 w_old = _mm_loadu_ps(w + i);
-    const __m128 w_new = _mm_sub_ps(w_old, step);
-    // cmpneq is true for NaN too, matching the scalar `gi == 0.0` skip.
-    // Either 32-bit half of a 64-bit lane mask is that lane's float mask.
-    const __m128 live =
-        _mm_shuffle_ps(_mm_castpd_ps(_mm_cmpneq_pd(glo, zero)),
-                       _mm_castpd_ps(_mm_cmpneq_pd(ghi, zero)),
-                       _MM_SHUFFLE(2, 0, 2, 0));
-    _mm_storeu_ps(g2 + i, _mm_or_ps(_mm_and_ps(live, g2_new),
-                                    _mm_andnot_ps(live, g2_old)));
-    _mm_storeu_ps(w + i, _mm_or_ps(_mm_and_ps(live, w_new),
-                                   _mm_andnot_ps(live, w_old)));
-    _mm_storeu_ps(g + i, _mm_setzero_ps());
-  }
-#endif
-  for (; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const double gi = g[i] * scale;
     g[i] = 0.0f;
     if (gi == 0.0) continue;
@@ -232,7 +164,6 @@ Status GetRows(ByteReader* r, size_t rows, size_t cols, const char* what,
 }  // namespace
 
 struct LstmLm::StepCache {
-  int token = -1;
   Vec xh;       // the step's input [x ; h_prev] (embed + hidden)
   Vec gates;    // post-activation i,f,o,g (4*hidden)
   Vec c, tanh_c, h;
@@ -242,7 +173,6 @@ struct LstmLm::StepCache {
 void LstmLm::ForwardStep(int token, const float* h_prev, const float* c_prev,
                          StepCache* cache) const {
   HER_DCHECK(token < static_cast<int>(vocab_));
-  cache->token = token;
   const size_t H = hidden_;
   const size_t E = embed_;
   const size_t W = E + H;
@@ -258,7 +188,7 @@ void LstmLm::ForwardStep(int token, const float* h_prev, const float* c_prev,
     constexpr size_t N = decltype(chains)::value;
     double z[N];
     for (size_t r = 0; r < N; ++r) z[r] = b_gates_[r0 + r];
-    RowChains<N, false>(w_gates_.data() + r0 * W, W, cache->xh.data(), W, z);
+    RowChains<N>(w_gates_.data() + r0 * W, W, cache->xh.data(), W, z);
     for (size_t r = 0; r < N; ++r) {
       const bool is_cell = (r0 + r) / H == kCell;
       cache->gates[r0 + r] =
@@ -285,7 +215,7 @@ void LstmLm::ForwardStep(int token, const float* h_prev, const float* c_prev,
   ForRowBlocks(vocab_, [&](size_t v0, auto chains) {
     constexpr size_t N = decltype(chains)::value;
     double s[N] = {};
-    RowChains<N, false>(w_out_.data() + v0 * H, H, h, H, s);
+    RowChains<N>(w_out_.data() + v0 * H, H, h, H, s);
     for (size_t r = 0; r < N; ++r) {
       cache->probs[v0 + r] = static_cast<float>(b_out_[v0 + r] + s[r]);
     }
@@ -498,129 +428,164 @@ void LstmLm::Train(const std::vector<std::vector<int>>& sequences,
   g2_w_out_.assign(w_out_.size(), 0.0f);
   g2_b_out_.assign(b_out_.size(), 0.0f);
 
-  // Gradients. They are all zero between sequences: AdagradStep clears
-  // every slot it consumes.
+  // The prefix trie of the corpus. Node 0 is BOS, every other node one
+  // distinct prefix; a node holds how many sequences continue past its
+  // prefix and the counts of the tokens they continue with. Sequences are
+  // inserted in sorted order, so the numbering depends only on the corpus
+  // multiset and every parent is numbered before its children.
+  struct Node {
+    size_t parent = 0;
+    int token = -1;  // the node's input: the last token of its prefix
+    double n = 0.0;
+    std::vector<std::pair<int, double>> next;  // ascending token
+  };
+  std::vector<const std::vector<int>*> sorted;
+  for (const auto& seq : sequences) {
+    if (!seq.empty()) sorted.push_back(&seq);
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto* a, const auto* b) { return *a < *b; });
+  std::vector<Node> trie;
+  std::vector<size_t> path;  // path[d]: node of the length-d prefix
+  size_t distinct = 0;
+  const std::vector<int>* prev = nullptr;
+  for (const std::vector<int>* seq : sorted) {
+    // The previous sequence has a node for each of its proper prefixes;
+    // the ones this sequence shares are reused.
+    size_t keep = 0;
+    if (prev != nullptr) {
+      const size_t lcp = static_cast<size_t>(
+          std::mismatch(prev->begin(), prev->end(), seq->begin(), seq->end())
+              .first -
+          prev->begin());
+      keep = std::min(lcp, prev->size() - 1) + 1;
+    }
+    if (prev == nullptr || *prev != *seq) ++distinct;
+    path.resize(keep);
+    for (size_t d = keep; d < seq->size(); ++d) {
+      Node node;
+      if (d > 0) {
+        node.parent = path[d - 1];
+        node.token = (*seq)[d - 1];
+      }
+      path.push_back(trie.size());
+      trie.push_back(std::move(node));
+    }
+    for (size_t d = 0; d < seq->size(); ++d) {
+      const int tok = (*seq)[d];
+      HER_DCHECK(tok >= 0 && static_cast<size_t>(tok) < vocab_);
+      Node& node = trie[path[d]];
+      node.n += 1.0;
+      if (node.next.empty() || node.next.back().first != tok) {
+        node.next.emplace_back(tok, 0.0);
+      }
+      node.next.back().second += 1.0;
+    }
+    prev = seq;
+  }
+  if (trie.empty()) return;
+  // Each sequence's loss counts count / mean count, so the gradient of a
+  // pass is on the scale of one step per distinct sequence.
+  const double weight =
+      static_cast<double>(distinct) / static_cast<double>(sorted.size());
+
+  // Gradients. They are all zero between passes: AdagradStep clears every
+  // slot it consumes.
   Vec d_emb(emb_.size(), 0.0f);
   Vec d_w_gates(w_gates_.size(), 0.0f);
   Vec d_b_gates(b_gates_.size(), 0.0f);
   Vec d_w_out(w_out_.size(), 0.0f);
   Vec d_b_out(b_out_.size(), 0.0f);
+  struct Tensor {
+    Vec* w;
+    Vec* g2;
+    Vec* g;
+  };
+  const Tensor tensors[] = {{&emb_, &g2_emb_, &d_emb},
+                            {&w_gates_, &g2_w_gates_, &d_w_gates},
+                            {&b_gates_, &g2_b_gates_, &d_b_gates},
+                            {&w_out_, &g2_w_out_, &d_w_out},
+                            {&b_out_, &g2_b_out_, &d_b_out}};
 
-  // Scratch reused across every sequence of the call.
-  std::vector<StepCache> steps;
-  const Vec zeros(H, 0.0f);  // h and c before the first step
-  Vec dxh(W), dc(H), dgates(4 * H);  // dxh = [dx ; dh]
-  float* dh = dxh.data() + E;
-  // Embedding row read at each step; deduplicated for the clip-norm.
-  std::vector<size_t> emb_rows;
+  std::vector<StepCache> steps(trie.size());
+  const Vec zeros(H, 0.0f);  // h and c before BOS
+  // dh and dc of each node's output state, summed over its children.
+  Vec dh_nodes(trie.size() * H), dc_nodes(trie.size() * H);
+  Vec dxh(W), dgates(4 * H);  // dxh = [dx ; dh_prev]
+  std::vector<double> dlogits(vocab_);
 
-  std::vector<size_t> order(sequences.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (int pass = 0; pass < config.epochs; ++pass) {
+    for (size_t i = 0; i < trie.size(); ++i) {
+      const float* h = i == 0 ? zeros.data() : steps[trie[i].parent].h.data();
+      const float* c = i == 0 ? zeros.data() : steps[trie[i].parent].c.data();
+      ForwardStep(trie[i].token, h, c, &steps[i]);
+    }
 
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.Shuffle(order);
-    for (const size_t si : order) {
-      const auto& seq = sequences[si];
-      if (seq.empty()) continue;
-
-      // Forward, caching activations.
-      if (steps.size() < seq.size()) steps.resize(seq.size());
-      const float* h = zeros.data();
-      const float* c = zeros.data();
-      int prev = -1;
-      emb_rows.clear();
-      for (size_t t = 0; t < seq.size(); ++t) {
-        HER_DCHECK(seq[t] >= 0 && static_cast<size_t>(seq[t]) < vocab_);
-        ForwardStep(prev, h, c, &steps[t]);
-        h = steps[t].h.data();
-        c = steps[t].c.data();
-        emb_rows.push_back(prev < 0 ? vocab_ : static_cast<size_t>(prev));
-        prev = seq[t];
+    // Backward through the trie, children first.
+    std::fill(dh_nodes.begin(), dh_nodes.end(), 0.0f);
+    std::fill(dc_nodes.begin(), dc_nodes.end(), 0.0f);
+    for (size_t k = trie.size(); k-- > 0;) {
+      const Node& node = trie[k];
+      const StepCache& sc = steps[k];
+      float* dh = dh_nodes.data() + k * H;
+      const float* dc = dc_nodes.data() + k * H;
+      float* dh_parent = k == 0 ? nullptr : dh_nodes.data() + node.parent * H;
+      float* dc_parent = k == 0 ? nullptr : dc_nodes.data() + node.parent * H;
+      const float* c_prev = k == 0 ? zeros.data() : steps[node.parent].c.data();
+      // Softmax-CE gradient of the node's logits: n * p - counts.
+      for (size_t v = 0; v < vocab_; ++v) dlogits[v] = node.n * sc.probs[v];
+      for (const auto& [tok, count] : node.next) dlogits[tok] -= count;
+      for (size_t v = 0; v < vocab_; ++v) {
+        const float dl = static_cast<float>(weight * dlogits[v]);
+        AddOuterRow(dl, sc.h.data(), w_out_.data() + v * H,
+                    d_w_out.data() + v * H, dh, H);
+        d_b_out[v] += dl;
       }
-
-      // Backward through time.
+      // Through h = o * tanh(c).
+      for (size_t i = 0; i < H; ++i) {
+        const double in = sc.gates[kIn * H + i];
+        const double fg = sc.gates[kForget * H + i];
+        const double ou = sc.gates[kOut * H + i];
+        const double g = sc.gates[kCell * H + i];
+        const double dho = dh[i];
+        const double d_o = dho * sc.tanh_c[i];
+        const double d_c = dc[i] + dho * ou * TanhD(sc.tanh_c[i]);
+        if (dc_parent != nullptr) dc_parent[i] += static_cast<float>(d_c * fg);
+        dgates[kIn * H + i] = static_cast<float>(d_c * g * in * (1 - in));
+        dgates[kForget * H + i] =
+            static_cast<float>(d_c * c_prev[i] * fg * (1 - fg));
+        dgates[kOut * H + i] = static_cast<float>(d_o * ou * (1 - ou));
+        dgates[kCell * H + i] = static_cast<float>(d_c * in * TanhD(g));
+      }
+      // Through the gate linear layer into x and h_prev.
       std::fill(dxh.begin(), dxh.end(), 0.0f);
-      std::fill(dc.begin(), dc.end(), 0.0f);
-      for (size_t t = seq.size(); t-- > 0;) {
-        const StepCache& sc = steps[t];
-        const float* c_prev = t > 0 ? steps[t - 1].c.data() : zeros.data();
-        const int target = seq[t];
-        // Softmax-CE gradient on logits.
-        for (size_t v = 0; v < vocab_; ++v) {
-          const double dlogit =
-              sc.probs[v] - (static_cast<int>(v) == target ? 1.0 : 0.0);
-          if (dlogit == 0.0) continue;
-          float* dw = d_w_out.data() + v * H;
-          const float* wv = w_out_.data() + v * H;
-          for (size_t i = 0; i < H; ++i) {
-            dw[i] += static_cast<float>(dlogit * sc.h[i]);
-            dh[i] += static_cast<float>(dlogit * wv[i]);
-          }
-          d_b_out[v] += static_cast<float>(dlogit);
-        }
-        // Through h = o * tanh(c).
-        for (size_t i = 0; i < H; ++i) {
-          const double in = sc.gates[kIn * H + i];
-          const double fg = sc.gates[kForget * H + i];
-          const double ou = sc.gates[kOut * H + i];
-          const double g = sc.gates[kCell * H + i];
-          const double dho = dh[i];
-          const double d_o = dho * sc.tanh_c[i];
-          double d_c = dc[i] + dho * ou * TanhD(sc.tanh_c[i]);
-          const double d_i = d_c * g;
-          const double d_f = d_c * c_prev[i];
-          const double d_g = d_c * in;
-          dc[i] = static_cast<float>(d_c * fg);  // to previous step
-          dgates[kIn * H + i] = static_cast<float>(d_i * in * (1 - in));
-          dgates[kForget * H + i] = static_cast<float>(d_f * fg * (1 - fg));
-          dgates[kOut * H + i] = static_cast<float>(d_o * ou * (1 - ou));
-          dgates[kCell * H + i] = static_cast<float>(d_g * TanhD(g));
-        }
-        // Through the gate linear layer into x and h_prev.
-        std::fill(dxh.begin(), dxh.end(), 0.0f);
-        for (size_t r = 0; r < 4 * H; ++r) {
-          const float dz = dgates[r];
-          if (dz == 0.0f) continue;
-          AddOuterRow(dz, sc.xh.data(), w_gates_.data() + r * W,
-                      d_w_gates.data() + r * W, dxh.data(), W);
-          d_b_gates[r] += dz;
-        }
-        float* de = d_emb.data() + emb_rows[t] * E;
-        for (size_t i = 0; i < E; ++i) de[i] += dxh[i];
+      for (size_t r = 0; r < 4 * H; ++r) {
+        const float dz = dgates[r];
+        if (dz == 0.0f) continue;
+        AddOuterRow(dz, sc.xh.data(), w_gates_.data() + r * W,
+                    d_w_gates.data() + r * W, dxh.data(), W);
+        d_b_gates[r] += dz;
       }
+      const size_t row =
+          node.token < 0 ? vocab_ : static_cast<size_t>(node.token);
+      float* de = d_emb.data() + row * E;
+      for (size_t i = 0; i < E; ++i) de[i] += dxh[i];
+      if (dh_parent != nullptr) {
+        for (size_t i = 0; i < H; ++i) dh_parent[i] += dxh[E + i];
+      }
+    }
 
-      // Global norm clip, summed in parameter order: embedding rows, gate
-      // rows, gate bias, output rows, output bias. An embedding row no
-      // step read has an exactly-zero gradient, and adding its +0.0 to
-      // norm2 changes nothing, so only the rows read are visited.
-      std::sort(emb_rows.begin(), emb_rows.end());
-      emb_rows.erase(std::unique(emb_rows.begin(), emb_rows.end()),
-                     emb_rows.end());
-      double norm2 = 0.0;
-      for (const size_t row : emb_rows) {
-        norm2 = AddRowNorms(d_emb.data() + row * E, 1, E, norm2);
-      }
-      norm2 = AddRowNorms(d_w_gates.data(), 4 * H, W, norm2);
-      norm2 = AddRowNorms(d_b_gates.data(), 1, 4 * H, norm2);
-      norm2 = AddRowNorms(d_w_out.data(), vocab_, H, norm2);
-      norm2 = AddRowNorms(d_b_out.data(), 1, vocab_, norm2);
-      const double norm = std::sqrt(norm2);
-      const double scale = norm > config.clip ? config.clip / norm : 1.0;
-
-      // Adagrad updates; they also zero the gradients for the next
-      // sequence.
-      for (const size_t row : emb_rows) {
-        AdagradStep(emb_.data() + row * E, g2_emb_.data() + row * E,
-                    d_emb.data() + row * E, E, scale, config.lr);
-      }
-      AdagradStep(w_gates_.data(), g2_w_gates_.data(), d_w_gates.data(),
-                  w_gates_.size(), scale, config.lr);
-      AdagradStep(b_gates_.data(), g2_b_gates_.data(), d_b_gates.data(),
-                  b_gates_.size(), scale, config.lr);
-      AdagradStep(w_out_.data(), g2_w_out_.data(), d_w_out.data(),
-                  w_out_.size(), scale, config.lr);
-      AdagradStep(b_out_.data(), g2_b_out_.data(), d_b_out.data(),
-                  b_out_.size(), scale, config.lr);
+    // One global-norm clip and one Adagrad step per pass; the updates
+    // also zero the gradients for the next pass.
+    double norm2 = 0.0;
+    for (const Tensor& t : tensors) {
+      for (const float g : *t.g) norm2 += static_cast<double>(g) * g;
+    }
+    const double norm = std::sqrt(norm2);
+    const double scale = norm > config.clip ? config.clip / norm : 1.0;
+    for (const Tensor& t : tensors) {
+      AdagradStep(t.w->data(), t.g2->data(), t.g->data(), t.w->size(), scale,
+                  config.lr);
     }
   }
 }

@@ -16,15 +16,15 @@ namespace her {
 struct LstmConfig {
   size_t embed_dim = 24;
   size_t hidden_dim = 48;
-  double lr = 0.1;
-  int epochs = 12;
-  double clip = 5.0;  // per-sequence gradient-norm clip
+  double lr = 0.3;
+  int epochs = 80;    // full-batch passes over the corpus
+  double clip = 20.0;  // per-pass gradient-norm clip
   uint64_t seed = 0x157a;
 };
 
 /// Single-layer LSTM language model over token ids, implemented from
 /// scratch (embedding + LSTM cell + softmax projection), trained with
-/// truncated-free full-sequence BPTT and Adagrad.
+/// full-batch BPTT over the corpus's prefix trie and Adagrad.
 ///
 /// This is the paper's M_r model: trained on maximum-PRA paths, it guides
 /// h_r's greedy walk and emits the end-of-sentence token to stop a path.
@@ -39,10 +39,13 @@ class LstmLm {
   };
 
   /// Trains on sequences of tokens in [0, vocab_size); each sequence should
-  /// end with the caller's end-of-sentence token. Deterministic and
-  /// single-threaded: the kernels keep every rounding and accumulation
-  /// order of a plain per-row trainer, so the weights are bit-identical to
-  /// it (test-enforced against tests/lstm_reference.h).
+  /// end with the caller's end-of-sentence token. The objective is the
+  /// corpus's summed per-token NLL, each sequence weighted by
+  /// distinct / total sequences. Every pass runs one forward step per
+  /// distinct prefix (the trie of the sorted corpus, parents first), sums
+  /// the children's dh and dc into each parent on the way back, then
+  /// takes one global clip and one Adagrad step. Deterministic and
+  /// single-threaded; the result depends only on the corpus multiset.
   void Train(const std::vector<std::vector<int>>& sequences,
              size_t vocab_size, const LstmConfig& config);
 

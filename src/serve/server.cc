@@ -476,7 +476,7 @@ OpResult HerServer::Submit(const ServeOp& op) {
   OpResult result;
   WallTimer timer;
   const bool is_write = IsWriteOp(op.kind);
-  const auto reject = [&](Status status) {
+  const auto reject = [&](uint64_t& reason, Status status) {
     result.outcome = OpOutcome::kRejected;
     result.status = std::move(status);
     result.service_seconds = timer.Seconds();
@@ -485,16 +485,17 @@ OpResult HerServer::Submit(const ServeOp& op) {
     } else {
       ++stats_.rejected_reads;
     }
+    ++reason;
     return result;
   };
 
   if (phase_ != ServePhase::kServing) {
-    return reject(Status::FailedPrecondition(
+    return reject(stats_.rejected_not_serving, Status::FailedPrecondition(
         std::string("serve: not serving (phase ") + ServePhaseName(phase_) +
         ")"));
   }
   if (op.seq <= last_seq_ && is_write) {
-    return reject(Status::InvalidArgument(
+    return reject(stats_.rejected_invalid, Status::InvalidArgument(
         "serve: non-monotonic op seq " + std::to_string(op.seq) +
         " (last " + std::to_string(last_seq_) + ")"));
   }
@@ -504,11 +505,12 @@ OpResult HerServer::Submit(const ServeOp& op) {
 OpResult HerServer::ServeWrite(const ServeOp& op) {
   OpResult result;
   WallTimer timer;
-  const auto reject = [&](Status status) {
+  const auto reject = [&](uint64_t& reason, Status status) {
     result.outcome = OpOutcome::kRejected;
     result.status = std::move(status);
     result.service_seconds = timer.Seconds();
     ++stats_.rejected_writes;
+    ++reason;
     return result;
   };
 
@@ -516,7 +518,7 @@ OpResult HerServer::ServeWrite(const ServeOp& op) {
   // (backoff-gated) chance; if the server is still degraded the write is
   // refused — nothing that cannot be durably logged gets acknowledged.
   if (!MaybeRepairLocked()) {
-    return reject(Status::ResourceExhausted(
+    return reject(stats_.rejected_durability, Status::ResourceExhausted(
         "serve: durability degraded (" + degraded_reason_.ToString() +
         "); write refused until checkpoint repair succeeds"));
   }
@@ -530,18 +532,18 @@ OpResult HerServer::ServeWrite(const ServeOp& op) {
   m.label = op.label.empty() ? kInvalidLabel
                              : data_->g.edge_labels().Find(op.label);
   Status valid = ValidateMutation(m);
-  if (!valid.ok()) return reject(std::move(valid));
+  if (!valid.ok()) return reject(stats_.rejected_invalid, std::move(valid));
 
   // Admission tier 1: writes are the first load to shed — an explicit
   // reject the client can retry, never a silent drop.
   if (pending_.size() >= config_.queue_soft_limit) {
-    return reject(Status::ResourceExhausted(
+    return reject(stats_.rejected_soft_limit, Status::ResourceExhausted(
         "serve: overloaded (write queue at soft limit " +
         std::to_string(config_.queue_soft_limit) + ")"));
   }
   if (op.deadline.count() > 0 &&
       BacklogSeconds() + ewma_apply_seconds_ > SecondsOf(op.deadline)) {
-    return reject(Status::ResourceExhausted(
+    return reject(stats_.rejected_backlog, Status::ResourceExhausted(
         "serve: estimated apply backlog exceeds the op deadline"));
   }
 
@@ -557,7 +559,7 @@ OpResult HerServer::ServeWrite(const ServeOp& op) {
   if (!logged.ok()) {
     ++stats_.wal_append_failures;
     EnterDegraded(logged);
-    return reject(logged);
+    return reject(stats_.rejected_durability, logged);
   }
   last_seq_ = op.seq;
 
@@ -602,6 +604,7 @@ OpResult HerServer::ServeRead(const ServeOp& op) {
     result.status = std::move(status);
     result.service_seconds = timer.Seconds();
     ++stats_.rejected_reads;
+    ++stats_.rejected_invalid;
     return result;
   };
 
@@ -656,6 +659,9 @@ OpResult HerServer::ServeRead(const ServeOp& op) {
     // an ACCEPTED read is that it finished inside its deadline.
     result.outcome = OpOutcome::kDegraded;
     ++stats_.degraded_reads;
+    ++(staleness > 0    ? stats_.degraded_stale
+       : eval_stopped ? stats_.degraded_stopped
+                      : stats_.degraded_late);
   } else {
     result.outcome = OpOutcome::kAccepted;
     ++stats_.accepted_reads;

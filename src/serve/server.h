@@ -141,6 +141,19 @@ struct ServeStats {
   uint64_t accepted_reads = 0;
   uint64_t degraded_reads = 0;
   uint64_t rejected_reads = 0;
+  // Why ops were refused or degraded. A rejected op counts under the one
+  // rejected_* reason of the check that refused it, and a degraded read
+  // under the first degraded_* reason that applies, in the order listed,
+  // so the reasons sum to rejected_writes + rejected_reads and to
+  // degraded_reads.
+  uint64_t rejected_not_serving = 0;  // phase is not kServing
+  uint64_t rejected_invalid = 0;      // bad seq, mutation or read pair
+  uint64_t rejected_soft_limit = 0;   // write queue at its soft limit
+  uint64_t rejected_backlog = 0;      // estimated apply backlog > deadline
+  uint64_t rejected_durability = 0;   // degraded, or the WAL append failed
+  uint64_t degraded_stale = 0;    // answered with mutations unapplied
+  uint64_t degraded_stopped = 0;  // evaluation cut off by the deadline
+  uint64_t degraded_late = 0;     // finished after its deadline
   uint64_t applied_mutations = 0;
   uint64_t apply_batches = 0;
   uint64_t apply_retries = 0;     // transient-fault + parked-pass retries

@@ -707,6 +707,7 @@ TEST(FaultFsServeTest, PermanentEnospcRejectsWritesKeepsServingReads) {
   EXPECT_TRUE((*victim)->durability_degraded());
   EXPECT_GT(st.rejected_writes, 0u);
   EXPECT_EQ(st.rejected_writes, rejected_write_resource_exhausted);
+  EXPECT_EQ(st.rejected_durability, st.rejected_writes);
   // Reads kept flowing through the whole degraded episode.
   EXPECT_EQ(st.accepted_reads + st.degraded_reads, read_ops);
   EXPECT_EQ(st.rejected_reads, 0u);
@@ -764,6 +765,7 @@ TEST(FaultFsServeTest, WalAppendFaultNeverAcksAndARetryConverges) {
   const ServeStats& st = (*server)->stats();
   EXPECT_EQ(st.wal_append_failures, 1u);
   EXPECT_EQ(st.rejected_writes, 1u);
+  EXPECT_EQ(st.rejected_durability, 1u);
   EXPECT_EQ(st.durability_degraded, 1u);
   EXPECT_EQ(st.durability_repairs, 1u);
   EXPECT_FALSE((*server)->durability_degraded());

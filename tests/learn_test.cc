@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "learn/her_system.h"
 #include "learn/metrics.h"
 #include "learn/refinement.h"
+#include "learn/trainer.h"
+#include "tests/lstm_reference.h"
 
 namespace her {
 namespace {
@@ -50,7 +53,6 @@ class TrainedSystemTest : public ::testing::Test {
     data_ = new GeneratedDataset(Generate(spec));
     split_ = new AnnotationSplit(SplitAnnotations(data_->annotations));
     HerConfig cfg;
-    cfg.learn.lstm.epochs = 8;
     system_ = new HerSystem(data_->canonical, data_->g, cfg);
     system_->Train(data_->path_pairs, split_->validation);
   }
@@ -234,9 +236,55 @@ TEST(LearnPipelineTest, RefinementImprovesF1) {
 }
 
 TEST_F(TrainedSystemTest, ReportsTrainPhaseSeconds) {
+  // Train tunes its thresholds (HerConfig::tune_params is on by default),
+  // so every phase ran, and together they fit inside the Train call.
   const TrainPhaseSeconds& s = system_->train_seconds();
   EXPECT_GT(s.lstm, 0.0);
-  EXPECT_LE(s.sgns + s.metric + s.lstm, s.total);
+  EXPECT_GT(s.ptable, 0.0);
+  EXPECT_GT(s.search, 0.0);
+  EXPECT_LE(s.sgns + s.metric + s.lstm + s.ptable + s.search, s.total);
+}
+
+TEST(LearnPipelineTest, LstmHeldOutNllMatchesReferenceTrainer) {
+  // M_r's corpus of a generated ukgov world, split 80/20 by source vertex:
+  // the trie trainer must generalise to paths from unseen vertices as
+  // well as the per-sequence reference trainer does.
+  DatasetSpec spec = UkgovSpec(7);
+  spec.num_entities = 40;
+  const GeneratedDataset data = Generate(spec);
+  const Graph& gd = data.canonical.graph();
+  const JointVocab vocab(gd, data.g);
+  const LearnConfig cfg;
+  Rng rng(cfg.seed);
+  std::vector<std::vector<int>> corpus;
+  std::vector<VertexId> g_sources, gd_sources;
+  CollectLstmPaths(data.g, 1, vocab, cfg.lstm_path_len, cfg.max_lstm_paths,
+                   cfg.lstm_min_pra, rng, corpus, &g_sources);
+  CollectLstmPaths(gd, 0, vocab, cfg.lstm_path_len, cfg.max_lstm_paths / 2,
+                   cfg.lstm_min_pra, rng, corpus, &gd_sources);
+  ASSERT_EQ(g_sources.size() + gd_sources.size(), corpus.size());
+
+  Rng split_rng(17);
+  std::map<std::pair<int, VertexId>, bool> held_out;  // (graph, source)
+  std::vector<std::vector<int>> train, test;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const bool from_g = i < g_sources.size();
+    const auto key =
+        from_g ? std::make_pair(1, g_sources[i])
+               : std::make_pair(0, gd_sources[i - g_sources.size()]);
+    const auto [it, fresh] = held_out.emplace(key, false);
+    if (fresh) it->second = split_rng.Uniform() < 0.2;
+    (it->second ? test : train).push_back(corpus[i]);
+  }
+  ASSERT_FALSE(test.empty());
+  ASSERT_FALSE(train.empty());
+
+  ReferenceLstm ref;
+  ref.Train(train, vocab.size_with_eos(), ReferenceLstm::DefaultConfig());
+  LstmLm lm;
+  lm.Train(train, vocab.size_with_eos(), cfg.lstm);
+  EXPECT_LE(PerTokenNll(lm, test), 1.01 * PerTokenNll(ref.ToModel(), test))
+      << train.size() << " training / " << test.size() << " held-out paths";
 }
 
 TEST(LearnPipelineTest, TrainModelsTimesEachPhase) {

@@ -18,7 +18,6 @@ class SemanticJoinTest : public ::testing::Test {
     data_ = new GeneratedDataset(Generate(spec));
     split_ = new AnnotationSplit(SplitAnnotations(data_->annotations));
     HerConfig cfg;
-    cfg.learn.lstm.epochs = 8;
     system_ = new HerSystem(data_->canonical, data_->g, cfg);
     system_->Train(data_->path_pairs, split_->validation);
   }

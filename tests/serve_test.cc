@@ -385,6 +385,54 @@ TEST(ServeAdmissionTest, HardLimitDegradesReadsWithStalenessMarker) {
   ASSERT_TRUE((*server)->Drain().ok());
 }
 
+TEST(ServeAdmissionTest, RejectAndDegradeReasonsSumToTotals) {
+  const GeneratedDataset data = Generate(SmallSpec(25));
+  ServeConfig cfg = FastConfig(FreshDir("serve_reasons"));
+  cfg.apply_batch = 100;  // keep mutations queued
+  cfg.queue_soft_limit = 2;
+  cfg.queue_hard_limit = 2;
+  auto server = HerServer::Open(cfg, data);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  HerServer& s = **server;
+
+  ServeOp ins;
+  ins.kind = OpKind::kEdgeInsert;
+  ins.label = data.g.EdgeLabelName(0);
+  for (uint64_t seq = 1; seq <= 3; ++seq) {  // the third hits the soft limit
+    ins.seq = seq;
+    ins.u = ins.v = static_cast<VertexId>(seq);  // self-loops: never in base
+    EXPECT_EQ(s.Submit(ins).outcome,
+              seq < 3 ? OpOutcome::kAccepted : OpOutcome::kRejected);
+  }
+  ins.seq = 2;  // already logged
+  EXPECT_EQ(s.Submit(ins).outcome, OpOutcome::kRejected);
+
+  ServeOp read;
+  read.kind = OpKind::kSPair;
+  read.u = data.annotations[0].u;
+  read.v = data.annotations[0].v;
+  ServeOp bad_read = read;
+  bad_read.u = static_cast<VertexId>(data.canonical.graph().num_vertices());
+  EXPECT_EQ(s.Submit(bad_read).outcome, OpOutcome::kRejected);
+  EXPECT_EQ(s.Submit(read).outcome, OpOutcome::kDegraded);  // at hard limit
+  ASSERT_TRUE(s.Drain().ok());
+  EXPECT_EQ(s.Submit(read).outcome, OpOutcome::kRejected);  // stopped
+
+  const ServeStats& st = s.stats();
+  EXPECT_EQ(st.rejected_soft_limit, 1u);
+  EXPECT_EQ(st.rejected_invalid, 2u);
+  EXPECT_EQ(st.rejected_not_serving, 1u);
+  EXPECT_EQ(st.rejected_backlog, 0u);
+  EXPECT_EQ(st.rejected_durability, 0u);
+  EXPECT_EQ(st.degraded_stale, 1u);
+  EXPECT_EQ(st.rejected_not_serving + st.rejected_invalid +
+                st.rejected_soft_limit + st.rejected_backlog +
+                st.rejected_durability,
+            st.rejected_writes + st.rejected_reads);
+  EXPECT_EQ(st.degraded_stale + st.degraded_stopped + st.degraded_late,
+            st.degraded_reads);
+}
+
 TEST(ServeAdmissionTest, RejectsStaleAndInvalidWrites) {
   const GeneratedDataset data = Generate(SmallSpec(24));
   auto server = HerServer::Open(FastConfig(FreshDir("serve_rej")), data);

@@ -7,9 +7,10 @@
 //
 //   her_cli evaluate <dir> [workers] [deadline-ms] [flags]
 //       Loads <dir>, trains HER, reports held-out F-measure and a
-//       "train-phases sgns_s=.. metric_s=.. lstm_s=.. total_s=.." line of
-//       per-model training wall time, then runs APair on the parallel
-//       engine. With a deadline the run degrades
+//       "train-phases sgns_s=.. metric_s=.. lstm_s=.. ptable_s=..
+//       search_s=.. total_s=.." line of cold training wall time per phase
+//       (models, property table, random search), then runs APair on the
+//       parallel engine. With a deadline the run degrades
 //       gracefully: it returns a partial (sound) Pi plus the count of
 //       unresolved candidates instead of overrunning the budget.
 //       Durability flags:
@@ -386,11 +387,11 @@ int CmdEvaluate(int argc, char** argv) {
         return loaded->system->SPairVertex(u, v);
       });
   std::printf("held-out: %s\n", c.ToString().c_str());
-  // Per-model training wall time (all zero on a snapshot warm start).
+  // Cold training wall time per phase (all zero on a snapshot warm start).
   const TrainPhaseSeconds& ts = loaded->system->train_seconds();
   std::printf("train-phases sgns_s=%.3f metric_s=%.3f lstm_s=%.3f "
-              "total_s=%.3f\n",
-              ts.sgns, ts.metric, ts.lstm, ts.total);
+              "ptable_s=%.3f search_s=%.3f total_s=%.3f\n",
+              ts.sgns, ts.metric, ts.lstm, ts.ptable, ts.search, ts.total);
   RunOptions options;
   if (deadline_ms > 0) {
     options = RunOptions::WithTimeout(std::chrono::milliseconds(deadline_ms));
@@ -724,6 +725,9 @@ int CmdServe(int argc, char** argv) {
       "serve: %zu submitted (%zu resumed past), %.1f qps achieved\n"
       "  writes: %zu accepted, %zu rejected; reads: %zu accepted, "
       "%zu degraded, %zu rejected\n"
+      "  rejected by reason: not-serving %zu, invalid %zu, soft-limit %zu, "
+      "backlog %zu, durability %zu; degraded by reason: stale %zu, "
+      "stopped %zu, late %zu\n"
       "  applied %zu mutation(s) in %zu batch(es), %zu retries, %zu parked, "
       "%zu quarantined, %zu checkpoint(s)\n"
       "  durability: %zu degraded episode(s), %zu repair(s), "
@@ -737,6 +741,14 @@ int CmdServe(int argc, char** argv) {
       static_cast<size_t>(st.accepted_reads),
       static_cast<size_t>(st.degraded_reads),
       static_cast<size_t>(st.rejected_reads),
+      static_cast<size_t>(st.rejected_not_serving),
+      static_cast<size_t>(st.rejected_invalid),
+      static_cast<size_t>(st.rejected_soft_limit),
+      static_cast<size_t>(st.rejected_backlog),
+      static_cast<size_t>(st.rejected_durability),
+      static_cast<size_t>(st.degraded_stale),
+      static_cast<size_t>(st.degraded_stopped),
+      static_cast<size_t>(st.degraded_late),
       static_cast<size_t>(st.applied_mutations),
       static_cast<size_t>(st.apply_batches),
       static_cast<size_t>(st.apply_retries),
@@ -792,6 +804,14 @@ int CmdServe(int argc, char** argv) {
     add_u64("accepted_reads", st.accepted_reads);
     add_u64("degraded_reads", st.degraded_reads);
     add_u64("rejected_reads", st.rejected_reads);
+    add_u64("rejected_not_serving", st.rejected_not_serving);
+    add_u64("rejected_invalid", st.rejected_invalid);
+    add_u64("rejected_soft_limit", st.rejected_soft_limit);
+    add_u64("rejected_backlog", st.rejected_backlog);
+    add_u64("rejected_durability", st.rejected_durability);
+    add_u64("degraded_stale", st.degraded_stale);
+    add_u64("degraded_stopped", st.degraded_stopped);
+    add_u64("degraded_late", st.degraded_late);
     add_u64("applied_mutations", st.applied_mutations);
     add_u64("apply_batches", st.apply_batches);
     add_u64("apply_retries", st.apply_retries);

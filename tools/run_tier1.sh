@@ -3,9 +3,9 @@
 # build of the parallel-driver determinism tests — the shared read-only
 # MatchContext fan-out must be data-race free (tsan) and leak/UB free
 # (asan/ubsan) — the fault-injection matrix, whose crash recovery decodes
-# checkpoint-shard bytes, plus the batched-kernel bit-identity tests
-# (StepProbBatch, the LSTM trainer vs its reference, TopKBatch,
-# PropertyTable build determinism) under the same sanitizer.
+# checkpoint-shard bytes, plus the batched-kernel tests (StepProbBatch
+# bit-identity, the LSTM trie trainer's NLL and gradient checks,
+# TopKBatch, PropertyTable build determinism) under the same sanitizer.
 # Usage: tools/run_tier1.sh [sanitizer] [build-dir] [san-build-dir]
 #   sanitizer: tsan (default) | asan | ubsan | none
 set -euo pipefail
@@ -47,10 +47,10 @@ if [ -n "$HER_SANITIZE" ]; then
   # Flat-table oracle + concurrent sharded-memo stress (the TSan target
   # for the open-addressing memo tables).
   "$SAN_DIR/tests/flat_table_test"
-  # The LSTM trainer's packed kernels against the reference trainer, and
-  # the snapshot decoder's shape checks.
+  # The LSTM trie trainer against the reference trainer's NLL and finite
+  # differences, and the snapshot decoder's shape checks.
   "$SAN_DIR/tests/ml_test" \
-    --gtest_filter='LstmTest.StepProbBatch*:LstmTest.Train*:LstmTest.LoadState*:MlpTest.PredictBatch*'
+    --gtest_filter='LstmTest.StepProbBatch*:LstmTest.TrainMatchesReferenceNll:LstmTest.TrieGradient*:LstmTest.LoadState*:MlpTest.PredictBatch*'
   "$SAN_DIR/tests/sim_test" --gtest_filter='LstmPraRankerTest.*'
   "$SAN_DIR/tests/property_test" --gtest_filter='PropertyTableTest.*'
   # Durable snapshot/checkpoint suite, KillResume* included; WarmStartTest
